@@ -16,41 +16,20 @@ and the new tiers under ``extra["scale_p2048"]`` /  ``scale_p4096`` /
 import pathlib
 
 from benchmarks.conftest import run_once
-from repro.perf.bench import run_hier_scale
-from repro.util.tables import format_table
+from repro.perf.bench import run_tier
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_core.json"
 
 
-def _rows(results):
-    rows = []
-    for p_label, tier in results.items():
-        for name, stats in tier.items():
-            if name == "meta":
-                continue
-            rows.append([
-                int(p_label), name, stats["seconds"], stats["ratio_to_lb"],
-            ])
-    return rows
-
-
 def test_scale_hier_p1024(report, benchmark):
     """Head-to-head against the flat open shop at the P = 1024 wall."""
 
-    results = run_once(
-        benchmark, run_hier_scale, (1024,), output=BENCH_JSON,
+    run = run_once(
+        benchmark, run_tier, "scale_hier", (1024,), output=BENCH_JSON,
     )
-    report(
-        "scale_hier_p1024",
-        format_table(
-            ["P", "scheduler", "seconds", "ratio to LB"],
-            _rows(results),
-            precision=4,
-            title="S6: hierarchical vs flat open shop at P=1024",
-        ),
-    )
-    tier = results["1024"]
+    report("scale_hier_p1024", run.text)
+    tier = run.sections["scale_hier_p1024"]
     hier, flat = tier["hierarchical"], tier["openshop"]
     # The headline acceptance numbers: >= 4x faster at <= 1.10x the LB.
     assert hier["ratio_to_lb"] <= 1.10
@@ -62,19 +41,11 @@ def test_scale_hier_p1024(report, benchmark):
 def test_scale_beyond_the_wall(report, benchmark):
     """P in {2048, 4096, 8192}: sizes the flat open shop cannot reach."""
 
-    results = run_once(
-        benchmark, run_hier_scale, (2048, 4096, 8192), output=BENCH_JSON,
+    run = run_once(
+        benchmark, run_tier, "scale", (2048, 4096, 8192), output=BENCH_JSON,
     )
-    report(
-        "scale_hier_ladder",
-        format_table(
-            ["P", "scheduler", "seconds", "ratio to LB"],
-            _rows(results),
-            precision=4,
-            title="S6: hierarchical scale ladder P=2048..8192",
-        ),
-    )
-    for tier in results.values():
+    report("scale_hier_ladder", run.text)
+    for tier in run.sections.values():
         assert tier["hierarchical"]["ratio_to_lb"] <= 1.25
     # P=4096 must come in under the flat open shop's 6.4 s P=1024 figure.
-    assert results["4096"]["hierarchical"]["seconds"] < 6.4
+    assert run.sections["scale_p4096"]["hierarchical"]["seconds"] < 6.4

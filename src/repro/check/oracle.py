@@ -102,7 +102,9 @@ def oracle_violations(
     cost = problem.cost
     _, srcs, dsts, _ = _event_columns(schedule)
     has_event = np.zeros((n, n), dtype=bool)
-    has_event[srcs, dsts] = True
+    # out-of-range processors are already reported by the base check
+    inside = (srcs >= 0) & (srcs < n) & (dsts >= 0) & (dsts < n)
+    has_event[srcs[inside], dsts[inside]] = True
     eye = np.eye(n, dtype=bool)
     missing = ~has_event & (
         (~eye & (cost == 0)) | (eye & (cost > 0))

@@ -11,10 +11,6 @@ metadata, :func:`iter_collective_specs` enumerates them,
 callable, and :func:`make_collective` builds parameterized variants
 (root choice, combine rates, ring orders, exchange scheduler) from
 stable string names with keyword-only options.
-
-The legacy ``ALL_COLLECTIVES`` dict (deprecated since this registry
-landed) has been removed — use ``iter_collective_specs(family=...)``
-instead.
 """
 
 from __future__ import annotations

@@ -13,10 +13,6 @@ resolves a name to its default-configured callable, and
 :func:`make_scheduler` builds parameterized variants (matching backend
 choice, relayed/partitioned open shop, preemptive optimum, local-search
 budgets) from stable string names with keyword-only options.
-
-The legacy ``ALL_SCHEDULERS`` / ``EXTRA_SCHEDULERS`` dicts (deprecated
-since the registry landed) have been removed — use
-``iter_specs(tier=...)`` instead.
 """
 
 from __future__ import annotations

@@ -12,11 +12,12 @@ schedule-construction cost a first-class, measured quantity:
   benchmarking;
 * :mod:`repro.perf.memo` — schedule and lower-bound memoization keyed by
   a cost-matrix digest, for repeated-instance experiment paths;
-* :mod:`repro.perf.bench` — the micro-benchmark runner behind
-  ``python -m repro.cli bench``, which writes ``BENCH_core.json``.
+* :mod:`repro.perf.bench` — the tier table and runner behind
+  ``python -m repro.cli bench --tier NAME``, which writes
+  ``BENCH_core.json``; :mod:`repro.perf.regression` guards it.
 """
 
-from repro.perf.bench import run_bench, update_bench_json
+from repro.perf.bench import run_bench, run_tier, update_bench_json
 from repro.perf.memo import (
     ScheduleCache,
     cost_digest,
@@ -36,6 +37,7 @@ __all__ = [
     "lower_bound_cached",
     "problem_digest",
     "run_bench",
+    "run_tier",
     "schedule_digest",
     "update_bench_json",
 ]

@@ -2,41 +2,58 @@
 
 ``BENCH_core.json`` is committed so the repo carries its own
 performance claims — schedule quality (``ratio_to_lb``,
-``makespan_ratio_max``) and wall-clock latency per tier.  CI
-re-measures a subset of those tiers on every push; this module turns
-"did it regress?" into an explicit, tunable comparison instead of
-ad-hoc asserts scattered through workflow YAML.
+``makespan_ratio_max``) and wall-clock latency per tier.  Each tier in
+:data:`repro.perf.bench.TIERS` declares the metrics it is held to; this
+module is the one comparator that applies them, so "did it regress?" is
+an explicit, table-driven comparison instead of ad-hoc asserts.
 
-Two kinds of numbers get two kinds of tolerance:
+Each metric kind gets its own tolerance:
 
 * **quality** — deterministic given the seed, so it is compared
-  tightly (``quality_rtol``, default 5%).  A quality regression means
-  an algorithm change, never machine noise.
-* **latency** — CI machines are slower and noisier than the machine
-  that wrote the committed record, so seconds are compared loosely
-  (``seconds_factor``, default 5x) and latency *ratios* (the drift
-  bench's repair-vs-full speedup, machine speed mostly cancelled) get
-  an intermediate ``speedup_factor``.
+  tightly (:data:`QUALITY_RTOL`).  A quality regression means an
+  algorithm change, never machine noise.
+* **seconds** — CI machines are slower and noisier than the machine
+  that wrote the committed record, so wall clock is compared loosely
+  (:data:`SECONDS_FACTOR`).
+* **ratio** — a ratio of two latencies on the *same* machine (the drift
+  bench's repair-vs-full speedup), where machine speed mostly cancels,
+  gets the intermediate :data:`RATIO_FACTOR`.
+* **guarantee** — an absolute bound on the fresh run alone (zero oracle
+  violations, ratio-to-LB caps, every kernel family present), whatever
+  the record says.
 
-The entry point is :func:`bench_regressions`: give it the committed
-and fresh ``extra`` payloads and it returns human-readable violation
-strings for every tier name they share — an empty list is a pass.
-Load the committed record *before* re-running any bench that writes to
-the same path, or the guard compares the fresh file with itself.
+:func:`repro.perf.bench.run_tier` loads the record before it overwrites
+a section and calls :func:`tier_regressions`; :func:`bench_regressions`
+compares two whole ``extra`` payloads section by section.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.perf.bench import GUARANTEE, QUALITY, RATIO, TIERS, Metric, tier_of
 
 __all__ = [
+    "MISSING",
+    "QUALITY_RTOL",
+    "RATIO_FACTOR",
+    "SECONDS_FACTOR",
     "bench_regressions",
-    "collectives_regressions",
-    "drift_regressions",
     "load_bench",
-    "scale_regressions",
+    "resolve_path",
+    "tier_regressions",
 ]
+
+#: Relative slack on quality metrics.
+QUALITY_RTOL = 0.05
+#: Slack factor on same-machine latency ratios.
+RATIO_FACTOR = 3.0
+#: Slack factor on wall-clock seconds.
+SECONDS_FACTOR = 10.0
+
+#: Stands in for a value a metric path does not reach.
+MISSING = object()
 
 
 def load_bench(path) -> Dict[str, Any]:
@@ -45,262 +62,124 @@ def load_bench(path) -> Dict[str, Any]:
         return json.load(handle)
 
 
-def scale_regressions(
-    name: str,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    *,
-    quality_rtol: float = 0.05,
-    seconds_factor: float = 5.0,
-) -> List[str]:
-    """Compare one ``scale_*`` tier: per-scheduler quality and latency."""
-    problems: List[str] = []
-    for scheduler, stats in committed.items():
-        if scheduler == "meta" or not isinstance(stats, dict):
-            continue
-        current = fresh.get(scheduler)
-        if current is None:
-            problems.append(f"{name}: scheduler {scheduler!r} disappeared")
-            continue
-        old_ratio = stats.get("ratio_to_lb")
-        new_ratio = current.get("ratio_to_lb")
-        if old_ratio is not None and new_ratio is not None:
-            if new_ratio > old_ratio * (1.0 + quality_rtol):
-                problems.append(
-                    f"{name}/{scheduler}: ratio_to_lb regressed "
-                    f"{old_ratio:.4f} -> {new_ratio:.4f} "
-                    f"(allowed rtol {quality_rtol:.0%})"
-                )
-        old_s = stats.get("seconds")
-        new_s = current.get("seconds")
-        if old_s is not None and new_s is not None:
-            if new_s > old_s * seconds_factor:
-                problems.append(
-                    f"{name}/{scheduler}: seconds regressed "
-                    f"{old_s:.3f}s -> {new_s:.3f}s "
-                    f"(allowed {seconds_factor:.0f}x)"
-                )
-    return problems
+def resolve_path(payload: Any, path: str) -> List[Tuple[str, Any]]:
+    """Every ``(concrete path, value)`` a metric path reaches in ``payload``.
 
-
-def drift_regressions(
-    name: str,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    *,
-    quality_rtol: float = 0.05,
-    speedup_factor: float = 3.0,
-    seconds_factor: float = 5.0,
-) -> List[str]:
-    """Compare one ``drift_response_*`` tier.
-
-    The repaired-vs-scratch makespan ratio is quality (tight); the
-    repair latency is seconds (loose); the p50 speedup is a ratio of
-    two latencies on the *same* machine, so most of the machine-speed
-    variance cancels and it gets the intermediate ``speedup_factor``.
+    A ``*`` segment expands over the dict-valued children other than
+    ``meta``; a segment that is not there yields :data:`MISSING`.
     """
-    problems: List[str] = []
-    old_ratio = committed.get("makespan_ratio_max")
-    new_ratio = fresh.get("makespan_ratio_max")
-    if old_ratio is not None and new_ratio is not None:
-        if new_ratio > old_ratio * (1.0 + quality_rtol):
-            problems.append(
-                f"{name}: makespan_ratio_max regressed "
-                f"{old_ratio:.4f} -> {new_ratio:.4f} "
-                f"(allowed rtol {quality_rtol:.0%})"
-            )
-    old_speedup = committed.get("speedup_p50")
-    new_speedup = fresh.get("speedup_p50")
-    if old_speedup is not None and new_speedup is not None:
-        if new_speedup < old_speedup / speedup_factor:
-            problems.append(
-                f"{name}: speedup_p50 regressed "
-                f"{old_speedup:.2f}x -> {new_speedup:.2f}x "
-                f"(allowed {speedup_factor:.0f}x slack)"
-            )
-    old_p50 = committed.get("repair", {}).get("p50_s")
-    new_p50 = fresh.get("repair", {}).get("p50_s")
-    if old_p50 is not None and new_p50 is not None:
-        if new_p50 > old_p50 * seconds_factor:
-            problems.append(
-                f"{name}: repair p50 regressed "
-                f"{old_p50:.3f}s -> {new_p50:.3f}s "
-                f"(allowed {seconds_factor:.0f}x)"
-            )
-    return problems
+    nodes: List[Tuple[str, Any]] = [("", payload)]
+    for key in path.split("."):
+        expanded: List[Tuple[str, Any]] = []
+        for prefix, node in nodes:
+            if key == "*" and isinstance(node, dict):
+                children = [
+                    (child, value) for child, value in node.items()
+                    if child != "meta" and isinstance(value, dict)
+                ]
+            elif isinstance(node, dict) and key in node:
+                children = [(key, node[key])]
+            else:
+                children = [(key, MISSING)]
+            expanded += [
+                (f"{prefix}.{child}" if prefix else child, value)
+                for child, value in children
+            ]
+        nodes = expanded
+    return nodes
 
 
-def collectives_regressions(
-    name: str,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    *,
-    quality_rtol: float = 0.05,
-    seconds_factor: float = 5.0,
-) -> List[str]:
-    """Compare one ``collectives_*`` tier.
-
-    Modelled completion times, makespan degradation and the headline
-    algorithm-vs-baseline ratios are deterministic given the seed, so
-    they are quality (tight); planning wall-clock and tick latency are
-    seconds (loose).
-    """
-    problems: List[str] = []
-    for key, stats in committed.items():
-        if key == "meta" or not isinstance(stats, dict):
-            continue
-        current = fresh.get(key)
-        if current is None:
-            problems.append(f"{name}: entry {key!r} disappeared")
-            continue
-        old_completion = stats.get("completion_s")
-        new_completion = current.get("completion_s")
-        if old_completion is not None and new_completion is not None:
-            if new_completion > old_completion * (1.0 + quality_rtol):
-                problems.append(
-                    f"{name}/{key}: completion_s regressed "
-                    f"{old_completion:.4g} -> {new_completion:.4g} "
-                    f"(allowed rtol {quality_rtol:.0%})"
-                )
-        old_s = stats.get("seconds")
-        new_s = current.get("seconds")
-        if old_s is not None and new_s is not None:
-            if new_s > old_s * seconds_factor:
-                problems.append(
-                    f"{name}/{key}: seconds regressed "
-                    f"{old_s:.3f}s -> {new_s:.3f}s "
-                    f"(allowed {seconds_factor:.0f}x)"
-                )
-    for ratio_key in (
-        "broadcast_log_vs_binomial", "allreduce_pipelined_vs_lockstep"
-    ):
-        old_ratio = committed.get(ratio_key)
-        new_ratio = fresh.get(ratio_key)
-        if old_ratio is not None and new_ratio is not None:
-            if new_ratio < old_ratio * (1.0 - quality_rtol):
-                problems.append(
-                    f"{name}: {ratio_key} regressed "
-                    f"{old_ratio:.3f}x -> {new_ratio:.3f}x "
-                    f"(allowed rtol {quality_rtol:.0%})"
-                )
-    old_makespan = committed.get("makespan", {})
-    new_makespan = fresh.get("makespan", {})
-    old_deg = old_makespan.get("degradation_max")
-    new_deg = new_makespan.get("degradation_max")
-    if old_deg is not None and new_deg is not None:
-        if new_deg > old_deg * (1.0 + quality_rtol):
-            problems.append(
-                f"{name}: makespan degradation_max regressed "
-                f"{old_deg:.3f} -> {new_deg:.3f} "
-                f"(allowed rtol {quality_rtol:.0%})"
-            )
-    old_p50 = committed.get("tick_latency", {}).get("p50_s")
-    new_p50 = fresh.get("tick_latency", {}).get("p50_s")
-    if old_p50 is not None and new_p50 is not None:
-        if new_p50 > old_p50 * seconds_factor:
-            problems.append(
-                f"{name}: tick latency p50 regressed "
-                f"{old_p50:.4f}s -> {new_p50:.4f}s "
-                f"(allowed {seconds_factor:.0f}x)"
-            )
-    return problems
+def _value(payload: Any, path: str) -> Any:
+    (_, value), = resolve_path(payload, path)
+    return value
 
 
-def soak_regressions(
-    name: str,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    *,
-    seconds_factor: float = 5.0,
-) -> List[str]:
-    """Compare one ``soak_*`` tier.
+def _guarantee_problem(section: str, path: str, value: Any, metric: Metric):
+    if value is MISSING:
+        return f"{section}: {path} is missing"
+    if metric.bound is None:
+        return None
+    if metric.higher:
+        held, rule = value >= metric.bound, f">= {metric.bound!r}"
+    else:
+        held, rule = value <= metric.bound, f"<= {metric.bound!r}"
+    if held:
+        return None
+    return f"{section}: {path} = {value!r} breaks its guarantee ({rule})"
 
-    The soak's guarantees are absolute, not relative: a fresh run must
-    hold zero oracle violations, zero dropped requests, zero-loss
-    restart, backup bit-identity, and must both fire *and* resolve the
-    canary alert.  Only wall time is judged against the committed
-    baseline (loose, machine-speed dependent).
-    """
-    problems: List[str] = []
-    if fresh.get("oracle_violations", 0) != 0:
-        problems.append(
-            f"{name}: {fresh['oracle_violations']} oracle violations "
-            f"(must be 0)"
+
+def _relative_problem(section: str, path: str, old, new, metric: Metric):
+    if new is MISSING:
+        return f"{section}: {path} disappeared"
+    if metric.kind == QUALITY:
+        scale = 1.0 - QUALITY_RTOL if metric.higher else 1.0 + QUALITY_RTOL
+        limit, allowed = old * scale, f"rtol {QUALITY_RTOL:.0%}"
+    else:
+        factor = RATIO_FACTOR if metric.kind == RATIO else SECONDS_FACTOR
+        limit = old / factor if metric.higher else old * factor
+        allowed = f"{factor:g}x"
+    if (new < limit) if metric.higher else (new > limit):
+        return (
+            f"{section}: {path} regressed {old:.4g} -> {new:.4g} "
+            f"(allowed {allowed})"
         )
-    daemon = fresh.get("daemon", {})
-    if daemon.get("dropped", 0) != 0:
-        problems.append(
-            f"{name}: daemon dropped {daemon['dropped']} requests "
-            f"(must be 0)"
-        )
-    if not daemon.get("zero_loss", True):
-        problems.append(f"{name}: daemon accepted != served across restart")
-    if not daemon.get("restart_bit_identical", True):
-        problems.append(f"{name}: daemon state changed across restart")
-    if not fresh.get("backup_bit_identical", True):
-        problems.append(f"{name}: backup payload not bit-identical")
-    if fresh.get("alerts_fired", 0) < 1:
-        problems.append(f"{name}: no SLO alert fired (canary broken)")
-    if fresh.get("alerts_resolved", 0) < 1:
-        problems.append(f"{name}: no SLO alert resolved (canary broken)")
-    if fresh.get("store", {}).get("sealed_segments", 0) < 1:
-        problems.append(f"{name}: metrics store never rotated a segment")
-    old_wall = committed.get("wall_s")
-    new_wall = fresh.get("wall_s")
-    if old_wall is not None and new_wall is not None:
-        if new_wall > old_wall * seconds_factor:
-            problems.append(
-                f"{name}: wall time regressed "
-                f"{old_wall:.2f}s -> {new_wall:.2f}s "
-                f"(allowed {seconds_factor:.0f}x)"
-            )
+    return None
+
+
+def tier_regressions(
+    section: str,
+    committed: Optional[Dict[str, Any]],
+    fresh: Dict[str, Any],
+    metrics: Sequence[Metric],
+) -> List[str]:
+    """Violations of ``metrics`` by one fresh section — empty is a pass.
+
+    Guarantees are checked on ``fresh`` alone.  Every other metric is
+    held against each value the ``committed`` section records for it
+    (no committed section, nothing to compare); a recorded value the
+    fresh run no longer produces is reported as disappeared.
+    """
+    problems: List[str] = []
+    for metric in metrics:
+        if metric.kind == GUARANTEE:
+            found = [
+                _guarantee_problem(section, path, value, metric)
+                for path, value in resolve_path(fresh, metric.path)
+            ]
+        elif committed:
+            found = [
+                _relative_problem(
+                    section, path, old, _value(fresh, path), metric
+                )
+                for path, old in resolve_path(committed, metric.path)
+                if old is not MISSING
+            ]
+        else:
+            found = []
+        problems += [problem for problem in found if problem]
     return problems
 
 
 def bench_regressions(
     committed_extra: Optional[Dict[str, Any]],
     fresh_extra: Optional[Dict[str, Any]],
-    *,
-    quality_rtol: float = 0.05,
-    seconds_factor: float = 5.0,
-    speedup_factor: float = 3.0,
 ) -> List[str]:
-    """Violations across every tier present in *both* records.
+    """Violations across every ``extra`` section present in *both* records.
 
-    Tiers only one side has are skipped: the committed record holds
-    more tiers than any single CI job re-measures, and a brand-new
-    tier has no baseline yet.
+    Sections only one side has are skipped: the committed record holds
+    more tiers than any single run re-measures, and a brand-new section
+    has no baseline yet.  Each section is judged by the metrics of the
+    tier that owns it (:func:`repro.perf.bench.tier_of`).
     """
     problems: List[str] = []
     if not committed_extra or not fresh_extra:
         return problems
-    for name in sorted(set(committed_extra) & set(fresh_extra)):
-        committed = committed_extra[name]
-        fresh = fresh_extra[name]
-        if not isinstance(committed, dict) or not isinstance(fresh, dict):
+    for section in sorted(set(committed_extra) & set(fresh_extra)):
+        name = tier_of(section)
+        if name is None:
             continue
-        if name.startswith("drift_response"):
-            problems += drift_regressions(
-                name, committed, fresh,
-                quality_rtol=quality_rtol,
-                speedup_factor=speedup_factor,
-                seconds_factor=seconds_factor,
-            )
-        elif name.startswith("scale"):
-            problems += scale_regressions(
-                name, committed, fresh,
-                quality_rtol=quality_rtol,
-                seconds_factor=seconds_factor,
-            )
-        elif name.startswith("collectives"):
-            problems += collectives_regressions(
-                name, committed, fresh,
-                quality_rtol=quality_rtol,
-                seconds_factor=seconds_factor,
-            )
-        elif name.startswith("soak"):
-            problems += soak_regressions(
-                name, committed, fresh,
-                seconds_factor=seconds_factor,
-            )
+        problems += tier_regressions(
+            section, committed_extra[section], fresh_extra[section],
+            TIERS[name].metrics,
+        )
     return problems

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Union
 
@@ -438,22 +437,3 @@ class RuntimeMetrics(MetricsSink):
 
     def save_chrome_trace(self, path: Union[str, pathlib.Path]) -> None:
         pathlib.Path(path).write_text(json.dumps(self.to_chrome_trace()))
-
-
-class SessionMetrics(RuntimeMetrics):
-    """Deprecated pre-``MetricsSink`` name for :class:`RuntimeMetrics`.
-
-    One-release shim: constructing it still works (it *is* a
-    ``RuntimeMetrics``) but warns.  Construct :class:`RuntimeMetrics`
-    directly, or pass any :class:`repro.ops.sink.MetricsSink` to
-    ``AdaptiveSession(sink=...)``.
-    """
-
-    def __init__(self):
-        warnings.warn(
-            "SessionMetrics is deprecated; construct RuntimeMetrics or "
-            "pass a repro.ops.sink.MetricsSink to AdaptiveSession(sink=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__()

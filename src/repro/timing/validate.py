@@ -81,6 +81,7 @@ def check_schedule(
         ``require_coverage``) every off-diagonal pair with positive cost
         must appear exactly once.
     """
+    _check_proc_range(schedule)
     sender: List[str] = []
     receiver: List[str] = []
     duplicates: List[str] = []
@@ -181,6 +182,22 @@ def _event_columns(schedule: Schedule):
     return columns
 
 
+def _check_proc_range(schedule: Schedule):
+    """Raise :class:`ScheduleError` if an event names a processor outside
+    ``[0, num_procs)``; returns the event columns it read."""
+    columns = _event_columns(schedule)
+    _, srcs, dsts, _ = columns
+    n = schedule.num_procs
+    if srcs.size and (
+        srcs.min() < 0 or dsts.min() < 0
+        or srcs.max() >= n or dsts.max() >= n
+    ):
+        raise ScheduleError(
+            f"event references a processor outside [0, {n})"
+        )
+    return columns
+
+
 def _port_overlaps(
     starts: np.ndarray,
     procs: np.ndarray,
@@ -251,15 +268,8 @@ def check_schedule_fast(
     checks in seconds.  Violation messages are summarised (counts plus a
     few examples) rather than exhaustively enumerated.
     """
-    starts, srcs, dsts, durations = _event_columns(schedule)
+    starts, srcs, dsts, durations = _check_proc_range(schedule)
     n = schedule.num_procs
-    if starts.size and (
-        srcs.min() < 0 or dsts.min() < 0
-        or srcs.max() >= n or dsts.max() >= n
-    ):
-        raise ScheduleError(
-            f"event references a processor outside [0, {n})"
-        )
     limit = 5
     violations: List[str] = []
     sender = _port_overlaps(starts, srcs, durations, "sender", limit)

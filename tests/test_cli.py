@@ -149,12 +149,12 @@ def test_check_scheduler_subset(capsys):
 
 def test_bench_scheduler_timings(capsys):
     assert main(
-        ["bench", "--smoke", "--no-reference", "--output", "",
-         "--scheduler", "greedy"]
+        ["bench", "--tier", "schedulers", "--sizes", "16", "32",
+         "--metrics-out", "", "--scheduler", "greedy"]
     ) == 0
     out = capsys.readouterr().out
-    assert "end-to-end scheduler timings" in out
-    assert "greedy" in out
+    assert "cli_scheduler_timings" in out
+    assert "32.greedy" in out
 
 
 def test_serve_smoke_covers_all_decisions(capsys, tmp_path):

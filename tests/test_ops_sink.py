@@ -2,8 +2,7 @@
 
 The sink is the one publishing surface (emit / counter / observe /
 flush); these tests pin the protocol conformance of every
-implementation and the ``SessionMetrics -> RuntimeMetrics`` migration
-shim.
+implementation and the removal of the ``SessionMetrics`` alias.
 """
 
 import dataclasses
@@ -20,7 +19,7 @@ from repro.ops.sink import (
     event_record,
 )
 from repro.ops.store import MetricsStore
-from repro.runtime.metrics import RuntimeMetrics, SessionMetrics, TickEvent
+from repro.runtime.metrics import RuntimeMetrics, TickEvent
 
 
 class Recorder(MetricsSink):
@@ -155,7 +154,10 @@ def test_runtime_metrics_is_a_sink():
     assert metrics.histogram("decision_latency_s").count == 1
 
 
-def test_session_metrics_shim_warns_once_per_instance():
-    with pytest.warns(DeprecationWarning, match="RuntimeMetrics"):
-        shim = SessionMetrics()
-    assert isinstance(shim, RuntimeMetrics)
+def test_session_metrics_shim_is_gone():
+    # The one-release SessionMetrics -> RuntimeMetrics deprecation is over.
+    import repro.runtime
+    import repro.runtime.metrics
+
+    for module in (repro.runtime, repro.runtime.metrics):
+        assert not hasattr(module, "SessionMetrics")

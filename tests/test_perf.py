@@ -15,6 +15,7 @@ from repro.perf import (
     problem_digest,
     lower_bound_cached,
     run_bench,
+    run_tier,
     update_bench_json,
 )
 from repro.perf.bench import bench_instance, render_bench, write_bench_json
@@ -125,10 +126,11 @@ class TestScheduleCache:
 class TestBenchRunner:
     def test_smoke_bench_writes_valid_json(self, tmp_path):
         out = tmp_path / "BENCH_core.json"
-        result = run_bench(
-            (8,), smoke=True, include_reference=True, output=out
-        )
+        update_bench_json("scale_p256", {"greedy": 1.25}, out)
+        result = run_tier("smoke", (8,), output=out).sections[""]
         loaded = json.loads(out.read_text())
+        # the kernel record merges into the top level, keeping extra tiers
+        assert loaded["extra"]["scale_p256"] == {"greedy": 1.25}
         assert loaded["meta"]["proc_counts"] == [8]
         assert "greedy_end_to_end" in loaded["kernels"]["8"]
         assert "greedy_end_to_end" in loaded["speedups_vs_reference"]["8"]
@@ -145,7 +147,7 @@ class TestBenchRunner:
 
     def test_matching_excluded_above_cap(self):
         result = run_bench(
-            (8,), smoke=True, include_reference=False, matching_max_p=4
+            (8,), repeats=1, smoke=True, matching_max_p=4, reference_max_p=0
         )
         assert "matching_rounds_scipy" not in result["kernels"]["8"]
 
@@ -172,7 +174,8 @@ class TestBenchCli:
 
         out = tmp_path / "bench.json"
         code = main([
-            "bench", "--smoke", "--sizes", "8", "--output", str(out),
+            "bench", "--tier", "smoke", "--sizes", "8",
+            "--metrics-out", str(out),
         ])
         assert code == 0
         assert json.loads(out.read_text())["meta"]["smoke"] is True

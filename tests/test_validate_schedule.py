@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.timing.events import CommEvent, Schedule
-from repro.timing.validate import ScheduleError, check_schedule, is_valid_schedule
+from repro.timing.events import CommEvent, Schedule, schedule_from_columns
+from repro.timing.validate import (
+    ScheduleError,
+    check_schedule,
+    check_schedule_fast,
+    is_valid_schedule,
+)
 
 
 def ev(start, src, dst, duration):
@@ -155,3 +160,35 @@ def test_is_valid_schedule_bool():
     bad = Schedule.from_events(2, [ev(0, 0, 1, 2), ev(1, 0, 1, 2)])
     assert is_valid_schedule(good)
     assert not is_valid_schedule(bad)
+
+
+class TestProcessorRange:
+    """An event naming processor P on a P-processor schedule is invalid."""
+
+    @staticmethod
+    def src_is_p(num_procs=3):
+        return schedule_from_columns(
+            num_procs, np.array([0.0]), np.array([num_procs]),
+            np.array([0]), np.array([1.0]), np.array([1.0]),
+        )
+
+    def test_fast_checker_rejects(self):
+        with pytest.raises(ScheduleError, match="outside"):
+            check_schedule_fast(self.src_is_p())
+
+    def test_scalar_checker_rejects_without_cost(self):
+        with pytest.raises(ScheduleError, match="outside"):
+            check_schedule(self.src_is_p())
+
+    def test_scalar_checker_rejects_with_cost(self):
+        with pytest.raises(ScheduleError, match="outside"):
+            check_schedule(self.src_is_p(), np.ones((3, 3)))
+
+    def test_oracle_reports_it_as_a_violation(self):
+        from repro.check.oracle import oracle_violations
+        from repro.core.problem import TotalExchangeProblem
+
+        cost = np.ones((3, 3))
+        problem = TotalExchangeProblem(cost=cost, sizes=cost)
+        violations = oracle_violations(problem, self.src_is_p())
+        assert any("outside [0, 3)" in v for v in violations)
