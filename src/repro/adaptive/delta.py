@@ -61,8 +61,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import TotalExchangeProblem
-from repro.timing.events import Schedule, schedule_from_unsorted_columns
-from repro.timing.validate import _event_columns, check_schedule_fast
+from repro.timing.events import (
+    Schedule,
+    event_columns,
+    schedule_from_unsorted_columns,
+)
+# imported under its alias so the inline check stays replaceable as
+# ``repro.adaptive.delta.check_schedule_fast`` (see the alias's comment)
+from repro.timing.validate import check_schedule_fast
 
 
 # Attribute under which a repaired schedule carries its pair-keyed
@@ -202,7 +208,7 @@ def repair_schedule_delta(
     ``schedule`` must be a valid full-coverage plan for ``basis_cost``.
     The result is a valid full-coverage plan for ``problem.cost``; with
     ``validate`` (the default) it is checked inline by
-    :func:`~repro.timing.validate.check_schedule_fast` before being
+    :func:`~repro.timing.validate.check_schedule` before being
     returned, so an invalid repair can never escape into serving.
     """
     basis = np.asarray(basis_cost, dtype=float)
@@ -226,7 +232,7 @@ def repair_schedule_delta(
             identical=True,
         )
 
-    starts, srcs, dsts, durations = _event_columns(schedule)
+    starts, srcs, dsts, durations = event_columns(schedule)
     new_dur = new_cost[srcs, dsts]
     grown = new_dur > durations
 

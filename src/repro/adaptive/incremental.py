@@ -138,9 +138,9 @@ def _receiver_profiles(
     ``[bounds[d]:bounds[d + 1])`` and ``other_max`` is the latest finish
     among all events not sent by ``src``.
     """
-    from repro.timing.validate import _event_columns
+    from repro.timing.events import event_columns
 
-    starts, srcs, dsts, durations = _event_columns(schedule)
+    starts, srcs, dsts, durations = event_columns(schedule)
     sel = (srcs != src) & (durations > 0)
     starts = starts[sel]
     dsts = dsts[sel]

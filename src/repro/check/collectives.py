@@ -57,7 +57,7 @@ from repro.collectives.registry import iter_collective_specs
 from repro.directory.factory import make_directory
 from repro.directory.service import DirectorySnapshot
 from repro.timing.events import Schedule
-from repro.timing.validate import ScheduleError, check_schedule_fast
+from repro.timing.validate import ScheduleError, check_schedule
 from repro.util.tables import format_table
 
 #: Slack for comparing event times against arrival times.
@@ -156,9 +156,9 @@ def gossip_violations(schedule: Schedule) -> List[str]:
 
 
 def port_violations(schedule: Schedule) -> List[str]:
-    """One-port validity via the fast checker, as a violations list."""
+    """One-port validity via :func:`check_schedule`, as a violations list."""
     try:
-        check_schedule_fast(schedule)
+        check_schedule(schedule)
     except ScheduleError as exc:
         return list(exc.violations) or [str(exc)]
     return []

@@ -36,7 +36,7 @@ from repro.directory.service import DirectorySnapshot
 from repro.network.generators import random_pairwise_parameters
 from repro.runtime import AdaptiveSession, PolicyConfig
 from repro.sim.replay import DriftTrace, TraceDirectory, drift_storm_trace
-from repro.timing.validate import ScheduleError, check_schedule_fast
+from repro.timing.validate import ScheduleError, check_schedule
 from repro.util.tables import format_table
 
 
@@ -130,7 +130,7 @@ def _served_schedule_violations(
     violations: List[str] = []
     for k, (result, problem) in enumerate(zip(results, problems)):
         try:
-            check_schedule_fast(result.schedule, problem.cost)
+            check_schedule(result.schedule, problem.cost)
         except ScheduleError as exc:
             violations.append(
                 f"tick {k} ({result.decision}): served schedule invalid "

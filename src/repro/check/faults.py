@@ -43,11 +43,7 @@ from repro.faults.models import (
 )
 from repro.faults.repair import repair_schedule
 from repro.network.generators import random_pairwise_parameters
-from repro.timing.validate import (
-    ScheduleError,
-    check_schedule,
-    check_schedule_fast,
-)
+from repro.timing.validate import ScheduleError, check_schedule
 from repro.util.tables import format_table
 
 
@@ -314,18 +310,12 @@ def check_fault_recovery(
     )
 
     violations: List[str] = []
-    # Fast vectorized prefilter; the event-by-event checker runs only on
-    # failure, for its detailed violation batch.
     try:
-        check_schedule_fast(merged)
-    except ScheduleError:
-        try:
-            check_schedule(merged)
-        except ScheduleError as exc:
-            violations += [
-                f"merged timeline: {v}"
-                for v in (exc.violations or [str(exc)])
-            ]
+        check_schedule(merged)
+    except ScheduleError as exc:
+        violations += [
+            f"merged timeline: {v}" for v in (exc.violations or [str(exc)])
+        ]
     violations += _delivery_violations(
         scenario, sizes, partial, result, merged, alive, link_ok
     )

@@ -1,8 +1,9 @@
 """Universal schedule invariant oracle.
 
-Layered on :func:`repro.timing.validate.check_schedule` (one active send
-and one active receive per node, per-event durations equal to the cost
-model, no duplicate pairs), this oracle additionally asserts the paper's
+Layered on :func:`repro.timing.validate.check_schedule`, the one
+schedule validator (one active send and one active receive per node,
+finite event times, per-event durations equal to the cost model, no
+duplicate pairs), this oracle additionally asserts the paper's
 Section 3/4 conditions that every scheduler — present and future — must
 satisfy on *every* instance:
 
@@ -27,13 +28,8 @@ import numpy as np
 
 from repro.core.problem import TotalExchangeProblem
 from repro.core.registry import iter_specs
-from repro.timing.events import Schedule
-from repro.timing.validate import (
-    ScheduleError,
-    _event_columns,
-    check_schedule,
-    check_schedule_fast,
-)
+from repro.timing.events import Schedule, event_columns
+from repro.timing.validate import ScheduleError, check_schedule
 
 
 class OracleError(ScheduleError):
@@ -77,19 +73,10 @@ def oracle_violations(
             f"schedule covers {schedule.num_procs} processors, "
             f"problem has {problem.num_procs}"
         ]
-    # The vectorized fast checker covers the same invariants as the
-    # event-by-event check_schedule; it prefilters, and only a failure
-    # falls back to the slow path for its detailed per-event violation
-    # batch (so failure reports stay as rich as before while clean
-    # schedules — the overwhelmingly common case — pay only the
-    # vectorized cost).
     try:
-        check_schedule_fast(schedule, problem.cost, atol=atol)
-    except ScheduleError:
-        try:
-            check_schedule(schedule, problem.cost, atol=atol)
-        except ScheduleError as exc:
-            violations += exc.violations or [str(exc)]
+        check_schedule(schedule, problem.cost, atol=atol)
+    except ScheduleError as exc:
+        violations += exc.violations or [str(exc)]
 
     # Full P^2 placement: check_schedule only demands the positive
     # off-diagonal pairs, but every registered scheduler also emits
@@ -100,7 +87,7 @@ def oracle_violations(
     # none), in the same row-major order as the original scan.
     n = problem.num_procs
     cost = problem.cost
-    _, srcs, dsts, _ = _event_columns(schedule)
+    _, srcs, dsts, _ = event_columns(schedule)
     has_event = np.zeros((n, n), dtype=bool)
     # out-of-range processors are already reported by the base check
     inside = (srcs >= 0) & (srcs < n) & (dsts >= 0) & (dsts < n)

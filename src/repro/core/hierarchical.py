@@ -553,9 +553,9 @@ class HierarchicalScheduler:
             n, starts, srcs, dsts, durations, sizes
         )
         if validate:
-            from repro.timing.validate import check_schedule_fast
+            from repro.timing.validate import check_schedule
 
-            check_schedule_fast(repaired, problem.cost)
+            check_schedule(repaired, problem.cost)
 
         state.cost_p = cost_p_new
         state.block_duration = block_duration

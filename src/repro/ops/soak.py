@@ -7,7 +7,7 @@ node-correlated drift storms (:func:`repro.sim.replay.drift_storm_trace`)
 with injected fault profiles (:mod:`repro.faults`) and forced scheduler
 timeouts, for hours of *simulated* time.  Every tick's executed schedule
 is asserted against the vectorized invariant oracle
-(:func:`repro.timing.validate.check_schedule_fast`); every tick event is
+(:func:`repro.timing.validate.check_schedule`); every tick event is
 persisted into the rotating metrics store and evaluated against the SLO
 set, so the run both proves invariants hold under sustained chaos and
 produces the alert firing/resolving evidence that the SLO machinery
@@ -347,7 +347,7 @@ def _session_phase(
 ) -> Tuple[int, int, List[str]]:
     """Round-robin the tenants through every tick, oracle-checking each
     executed schedule.  Returns (checks, violations, messages)."""
-    from repro.timing.validate import ScheduleError, check_schedule_fast
+    from repro.timing.validate import ScheduleError, check_schedule
 
     checks = 0
     violations: List[str] = []
@@ -359,7 +359,7 @@ def _session_phase(
             try:
                 # Coverage is waived: degraded ticks legitimately drop
                 # pairs no surviving route can carry.
-                check_schedule_fast(
+                check_schedule(
                     result.schedule, require_coverage=False
                 )
             except ScheduleError as exc:

@@ -104,7 +104,7 @@ def _flat_scale(num_procs: int, *, seed: int = 0) -> Dict[str, Any]:
     validated outside the clock.
     """
     from repro.core.registry import get_scheduler
-    from repro.timing.validate import check_schedule_fast
+    from repro.timing.validate import check_schedule
 
     problem = bench_instance(num_procs, seed=seed)
     lower_bound = problem.lower_bound()
@@ -116,7 +116,7 @@ def _flat_scale(num_procs: int, *, seed: int = 0) -> Dict[str, Any]:
         tier[name] = {
             "ratio_to_lb": ratio, "seconds": time.perf_counter() - t0,
         }
-        check_schedule_fast(schedule, problem.cost)
+        check_schedule(schedule, problem.cost)
     return tier
 
 
@@ -181,8 +181,8 @@ def _drift_response(
     * **repair** — :mod:`repro.adaptive.delta` event-level repair below
       ``hier_min_p`` (the flat open shop tiers), block-level
       :meth:`HierarchicalScheduler.delta_repair` at and above it; both
-      validated inline with the fast checker, exactly like the serving
-      hot path;
+      validated inline with :func:`check_schedule`, exactly like the
+      serving hot path;
     * **full** — the matching from-scratch scheduler on the same costs.
 
     Every repair splices the *anchored* plan — exactly what the session
@@ -193,7 +193,7 @@ def _drift_response(
     """
     from repro.adaptive.delta import repair_schedule_delta
     from repro.core.hierarchical import HierarchicalScheduler
-    from repro.timing.validate import check_schedule_fast
+    from repro.timing.validate import check_schedule
 
     if ticks < 2:
         raise ValueError(f"ticks must be >= 2, got {ticks}")
@@ -238,7 +238,7 @@ def _drift_response(
         else:
             scratch = schedule_openshop(current)
         full_s.append(time.perf_counter() - t0)
-        check_schedule_fast(scratch, current.cost)
+        check_schedule(scratch, current.cost)
 
         ratios.append(result.completion_time / scratch.completion_time)
         relevant = (basis > 0) | (cost > 0)

@@ -375,6 +375,50 @@ def schedule_from_unsorted_columns(
     return schedule
 
 
+def event_columns(
+    schedule: Schedule,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, srcs, dsts, durations)`` as parallel numpy arrays.
+
+    Reads the lazy column form directly when the schedule has one (in
+    its construction order, which for ``unsorted_columns`` is not event
+    order), so column-built schedules never materialise per-event
+    objects.  The columns extracted from event objects are memoised on
+    the (frozen, hence immutable) schedule: a plan that is
+    delta-repaired on every serving tick is re-read each time, and
+    rebuilding a million-event column set from Python objects costs more
+    than the repair itself.  Callers must not mutate the arrays.
+    """
+    cached = schedule.__dict__.get("_column_cache")
+    if cached is not None:
+        return cached
+    pending = schedule.__dict__.get("_pending")
+    if pending is not None and pending[0].endswith("columns"):
+        starts, srcs, dsts, durations, _ = pending[1]
+        return (
+            np.asarray(starts, dtype=float),
+            np.asarray(srcs, dtype=np.intp),
+            np.asarray(dsts, dtype=np.intp),
+            np.asarray(durations, dtype=float),
+        )
+    events = schedule.events
+    starts = np.fromiter(
+        (e.start for e in events), dtype=float, count=len(events)
+    )
+    srcs = np.fromiter(
+        (e.src for e in events), dtype=np.intp, count=len(events)
+    )
+    dsts = np.fromiter(
+        (e.dst for e in events), dtype=np.intp, count=len(events)
+    )
+    durations = np.fromiter(
+        (e.duration for e in events), dtype=float, count=len(events)
+    )
+    columns = (starts, srcs, dsts, durations)
+    schedule.__dict__["_column_cache"] = columns
+    return columns
+
+
 def merge_schedules(
     num_procs: int, schedules: Sequence[Schedule]
 ) -> Schedule:

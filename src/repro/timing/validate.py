@@ -7,18 +7,27 @@ A valid communication schedule (paper Section 3.4) satisfies:
 * **receiver serialisation** — a node receives at most one message at a
   time, so no two events with the same destination overlap.
 
-Optionally, a schedule can also be checked for *coverage* against a
-problem: exactly one event per off-diagonal (src, dst) pair, with the
-duration implied by the communication matrix.
+Every event must also name processors in ``[0, num_procs)`` and carry a
+finite start and duration.  Optionally, a schedule can also be checked
+for *coverage* against a problem: exactly one event per off-diagonal
+(src, dst) pair, with the duration implied by the communication matrix.
+
+The check works on the schedule's event columns with sorts, bincounts
+and masks — never event by event — so a P = 4096 schedule (~16.7M
+events) checks in seconds, and reporting a failure costs no more than
+detecting it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.timing.events import CommEvent, Schedule
+from repro.timing.events import Schedule, event_columns
+
+#: Violations listed per kind; the rest of a kind is one ``+N more`` entry.
+_LISTED = 5
 
 
 class ScheduleError(ValueError):
@@ -26,34 +35,84 @@ class ScheduleError(ValueError):
 
     def __init__(self, message: str, violations: Optional[List[str]] = None):
         super().__init__(message)
-        #: Individual violation descriptions (one per conflicting pair).
+        #: Violation descriptions: up to five per kind, then one
+        #: ``<kind>: +N more`` entry for the rest of that kind.
         self.violations: List[str] = violations or []
 
 
-def _overlap_violations(
-    events: Sequence[CommEvent], role: str
-) -> List[str]:
-    """Find overlapping pairs among events sharing a sender or receiver.
+def _first(flagged: np.ndarray, keys: np.ndarray) -> List[int]:
+    """The (at most ``_LISTED``) ``flagged`` indices with the smallest
+    ``keys``, in key order."""
+    if flagged.size > _LISTED:
+        flagged = flagged[
+            np.argpartition(keys[flagged], _LISTED - 1)[:_LISTED]
+        ]
+    return flagged[np.argsort(keys[flagged], kind="stable")].tolist()
 
-    ``events`` must all share the same src (role='sender') or dst
-    (role='receiver').  Sweep in start order: with sorted events, each event
-    only needs comparing against the latest finish seen so far.
+
+def _port_conflicts(
+    starts: np.ndarray,
+    srcs: np.ndarray,
+    dsts: np.ndarray,
+    durations: np.ndarray,
+    role: str,
+    *,
+    presorted: bool = False,
+) -> Optional[Tuple[int, List[str]]]:
+    """``(count, listed messages)`` of overlaps on each ``role`` port.
+
+    An event conflicts when it starts before the latest finish among the
+    earlier events on its port (sender ``srcs`` or receiver ``dsts``).
+    Events are grouped by port with a stable integer sort (numpy radix),
+    which keeps each group in the caller's order.  For the schedules on
+    the serving hot path — materialised plans (globally start-sorted)
+    and flat delta repairs (per-port time-monotone by construction) —
+    that order is already nondecreasing in time, which the sweep
+    *verifies* rather than assumes.  When some group is genuinely out
+    of order the function returns ``None`` instead: the caller sorts
+    everything by start once (shared between the sender and receiver
+    passes, and cheaper than a per-role float lexsort) and retries with
+    ``presorted=True``.
+
+    Within a time-ordered group it suffices to compare each event with
+    its predecessor to decide whether the port is clean: if every
+    adjacent pair is disjoint, finishes are monotone and the whole group
+    is.  An event nested inside an earlier, longer one clashes with that
+    one rather than its neighbour, so only the ports with an adjacent
+    clash are swept against the running latest finish, to count every
+    conflicting event exactly once.
     """
-    violations: List[str] = []
-    ordered = sorted(
-        (e for e in events if e.duration > 0), key=lambda e: (e.start, e.finish)
-    )
-    prev: Optional[CommEvent] = None
-    for event in ordered:
-        if prev is not None and event.start < prev.finish - 1e-12:
-            violations.append(
-                f"{role} conflict: {prev.src}->{prev.dst} "
-                f"[{prev.start:.6g}, {prev.finish:.6g}) overlaps "
-                f"{event.src}->{event.dst} [{event.start:.6g}, {event.finish:.6g})"
+    procs = srcs if role == "sender" else dsts
+    order = np.argsort(procs, kind="stable")
+    starts = starts[order]
+    procs = procs[order]
+    same = procs[1:] == procs[:-1]
+    if not presorted and np.any(same & (starts[1:] < starts[:-1])):
+        return None
+    finishes = starts + durations[order]
+    clash = same & (starts[1:] < finishes[:-1] - 1e-12)
+    if not clash.any():
+        return 0, []
+    ports = np.unique(procs[1:][clash])
+    count = 0
+    listed: List[str] = []
+    for low, high in zip(
+        np.searchsorted(procs, ports, "left").tolist(),
+        np.searchsorted(procs, ports, "right").tolist(),
+    ):
+        latest = np.maximum.accumulate(finishes[low:high - 1])
+        hits = low + 1 + np.nonzero(starts[low + 1:high] < latest - 1e-12)[0]
+        count += hits.size
+        for hit in hits[:_LISTED - len(listed)].tolist():
+            # the earliest event holding the latest finish before ``hit``
+            held = low + int(np.argmax(finishes[low:hit]))
+            a, b = order[held], order[hit]
+            listed.append(
+                f"{role} conflict: {srcs[a]}->{dsts[a]} "
+                f"[{starts[held]:.6g}, {finishes[held]:.6g}) overlaps "
+                f"{srcs[b]}->{dsts[b]} [{starts[hit]:.6g}, {finishes[hit]:.6g})"
             )
-        if prev is None or event.finish > prev.finish:
-            prev = event
-    return violations
+    return count, listed
 
 
 def check_schedule(
@@ -65,13 +124,16 @@ def check_schedule(
 ) -> None:
     """Raise :class:`ScheduleError` if ``schedule`` is invalid.
 
-    A schedule violating several conditions at once raises a *single*
-    :class:`ScheduleError` carrying every violation: the ``violations``
-    list groups the kinds in a fixed order — sender conflicts, receiver
-    conflicts, duplicate pairs, wrong durations, missing pairs — with
-    each group internally sorted, so the batch is deterministic
-    regardless of event construction order.  The message leads with the
-    per-kind counts and previews the first few violations.
+    An event naming a processor outside ``[0, num_procs)``, or a ``cost``
+    of the wrong shape, raises at once with just that message.  Any other
+    set of violations raises a *single* :class:`ScheduleError` whose
+    message leads with the exact count of each violated kind, in a fixed
+    order — non-finite times, sender conflicts, receiver conflicts,
+    duplicate pairs, wrong durations, missing pairs — and previews the
+    first few.  ``violations`` lists at most five violations per kind —
+    the lowest ports (conflicts, in time order within a port) or pairs
+    (the other kinds) — and sums up the rest of a kind as one ``+N more``
+    entry.
 
     Parameters
     ----------
@@ -81,112 +143,7 @@ def check_schedule(
         ``require_coverage``) every off-diagonal pair with positive cost
         must appear exactly once.
     """
-    _check_proc_range(schedule)
-    sender: List[str] = []
-    receiver: List[str] = []
-    duplicates: List[str] = []
-    durations: List[str] = []
-    missing: List[str] = []
-    for proc in range(schedule.num_procs):
-        sender += _overlap_violations(schedule.sender_events(proc), "sender")
-        receiver += _overlap_violations(schedule.receiver_events(proc), "receiver")
-
-    if cost is not None:
-        cost = np.asarray(cost, dtype=float)
-        if cost.shape != (schedule.num_procs, schedule.num_procs):
-            raise ScheduleError(
-                f"cost matrix shape {cost.shape} does not match "
-                f"{schedule.num_procs} processors"
-            )
-        seen = set()
-        for event in schedule:
-            key = (event.src, event.dst)
-            if key in seen:
-                duplicates.append(f"duplicate event for pair {key}")
-            seen.add(key)
-            expected = cost[event.src, event.dst]
-            if abs(event.duration - expected) > atol:
-                durations.append(
-                    f"event {event.src}->{event.dst} has duration "
-                    f"{event.duration:.6g}, expected {expected:.6g}"
-                )
-        if require_coverage:
-            for src in range(schedule.num_procs):
-                for dst in range(schedule.num_procs):
-                    if src == dst or cost[src, dst] == 0:
-                        continue
-                    if (src, dst) not in seen:
-                        missing.append(f"missing event for pair ({src}, {dst})")
-
-    groups = [
-        ("sender conflict", sender),
-        ("receiver conflict", receiver),
-        ("duplicate pair", duplicates),
-        ("wrong duration", durations),
-        ("missing pair", missing),
-    ]
-    violations: List[str] = []
-    for _, group in groups:
-        violations += sorted(group)
-    if violations:
-        counts = ", ".join(
-            f"{len(group)} {label}{'s' if len(group) != 1 else ''}"
-            for label, group in groups
-            if group
-        )
-        preview = "; ".join(violations[:5])
-        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
-        raise ScheduleError(
-            f"invalid schedule ({counts}): {preview}{more}",
-            violations=violations,
-        )
-
-
-def _event_columns(schedule: Schedule):
-    """``(starts, srcs, dsts, durations)`` as parallel numpy arrays.
-
-    Reads the lazy column form directly when the schedule has one, so
-    checking a column-built schedule never materialises per-event
-    objects.  The extracted columns are memoised on the (frozen, hence
-    immutable) schedule: a plan that is delta-repaired on every serving
-    tick is re-read here each time, and rebuilding a million-event
-    column set from Python objects costs more than the repair itself.
-    """
-    cached = schedule.__dict__.get("_column_cache")
-    if cached is not None:
-        return cached
-    pending = schedule.__dict__.get("_pending")
-    if pending is not None and pending[0].endswith("columns"):
-        starts, srcs, dsts, durations, _ = pending[1]
-        return (
-            np.asarray(starts, dtype=float),
-            np.asarray(srcs, dtype=np.intp),
-            np.asarray(dsts, dtype=np.intp),
-            np.asarray(durations, dtype=float),
-        )
-    events = schedule.events
-    starts = np.fromiter(
-        (e.start for e in events), dtype=float, count=len(events)
-    )
-    srcs = np.fromiter(
-        (e.src for e in events), dtype=np.intp, count=len(events)
-    )
-    dsts = np.fromiter(
-        (e.dst for e in events), dtype=np.intp, count=len(events)
-    )
-    durations = np.fromiter(
-        (e.duration for e in events), dtype=float, count=len(events)
-    )
-    columns = (starts, srcs, dsts, durations)
-    schedule.__dict__["_column_cache"] = columns
-    return columns
-
-
-def _check_proc_range(schedule: Schedule):
-    """Raise :class:`ScheduleError` if an event names a processor outside
-    ``[0, num_procs)``; returns the event columns it read."""
-    columns = _event_columns(schedule)
-    _, srcs, dsts, _ = columns
+    starts, srcs, dsts, durations = event_columns(schedule)
     n = schedule.num_procs
     if srcs.size and (
         srcs.min() < 0 or dsts.min() < 0
@@ -195,108 +152,6 @@ def _check_proc_range(schedule: Schedule):
         raise ScheduleError(
             f"event references a processor outside [0, {n})"
         )
-    return columns
-
-
-def _port_overlaps(
-    starts: np.ndarray,
-    procs: np.ndarray,
-    durations: np.ndarray,
-    role: str,
-    limit: int,
-    *,
-    presorted: bool = False,
-) -> Optional[List[str]]:
-    """Overlap violations among events grouped by ``procs``, vectorized.
-
-    Events are sorted by (proc, start); within a group it suffices to
-    compare each event against its predecessor — if every adjacent pair
-    is disjoint then finishes are monotone and the whole group is.
-
-    The grouping is a stable integer sort on ``procs`` (numpy radix),
-    which keeps each group in the caller's order.  For the schedules on
-    the serving hot path — materialised plans (globally start-sorted)
-    and flat delta repairs (per-port time-monotone by construction) —
-    that order is already nondecreasing in time, which the sweep
-    *verifies* rather than assumes.  When some group is genuinely out
-    of order the function returns ``None`` instead: the caller sorts
-    everything by start once (shared between the sender and receiver
-    passes, and cheaper than a per-role float lexsort) and retries with
-    ``presorted=True``.
-    """
-    positive = durations > 0
-    if not positive.all():
-        starts = starts[positive]
-        procs = procs[positive]
-        durations = durations[positive]
-    order = np.argsort(procs, kind="stable")
-    sorted_starts = starts[order]
-    sorted_procs = procs[order]
-    same = sorted_procs[1:] == sorted_procs[:-1]
-    if not presorted and np.any(same & (sorted_starts[1:] < sorted_starts[:-1])):
-        return None
-    starts = sorted_starts
-    procs = sorted_procs
-    finishes = starts + durations[order]
-    clash = same & (starts[1:] < finishes[:-1] - 1e-12)
-    violations: List[str] = []
-    for index in np.nonzero(clash)[0][:limit].tolist():
-        violations.append(
-            f"{role} conflict on proc {int(procs[index])}: event starting "
-            f"{starts[index + 1]:.6g} overlaps one finishing "
-            f"{finishes[index]:.6g}"
-        )
-    extra = int(clash.sum()) - len(violations)
-    if extra > 0:
-        violations.append(f"{role} conflict: +{extra} more")
-    return violations
-
-
-def check_schedule_fast(
-    schedule: Schedule,
-    cost: Optional[np.ndarray] = None,
-    *,
-    require_coverage: bool = True,
-    atol: float = 1e-9,
-) -> None:
-    """Vectorized :func:`check_schedule` for large schedules.
-
-    Same validity conditions — sender/receiver serialisation, duplicate
-    pairs, durations against ``cost``, coverage of positive off-diagonal
-    pairs — but implemented with sorts and bincounts over event columns
-    instead of per-event Python, so a P = 4096 schedule (~16.7M events)
-    checks in seconds.  Violation messages are summarised (counts plus a
-    few examples) rather than exhaustively enumerated.
-    """
-    starts, srcs, dsts, durations = _check_proc_range(schedule)
-    n = schedule.num_procs
-    limit = 5
-    violations: List[str] = []
-    sender = _port_overlaps(starts, srcs, durations, "sender", limit)
-    receiver = (
-        _port_overlaps(starts, dsts, durations, "receiver", limit)
-        if sender is not None
-        else None
-    )
-    if sender is None or receiver is None:
-        # some port's events are out of construction order: establish
-        # global start order once and share it between the two roles
-        by_start = np.argsort(starts)
-        s_starts = starts[by_start]
-        s_durations = durations[by_start]
-        if sender is None:
-            sender = _port_overlaps(
-                s_starts, srcs[by_start], s_durations, "sender", limit,
-                presorted=True,
-            )
-        if receiver is None:
-            receiver = _port_overlaps(
-                s_starts, dsts[by_start], s_durations, "receiver", limit,
-                presorted=True,
-            )
-    violations += sender
-    violations += receiver
-
     if cost is not None:
         cost = np.asarray(cost, dtype=float)
         if cost.shape != (n, n):
@@ -304,45 +159,106 @@ def check_schedule_fast(
                 f"cost matrix shape {cost.shape} does not match "
                 f"{n} processors"
             )
-        pair_ids = srcs * n + dsts
-        counts = np.bincount(pair_ids, minlength=n * n)
-        duplicated = np.nonzero(counts > 1)[0]
-        for pair in duplicated[:limit].tolist():
-            violations.append(
+    pairs = srcs * n + dsts
+    # (kind, exact count, listed violations) in report order
+    kinds: List[Tuple[str, int, List[str]]] = []
+
+    finite = np.isfinite(starts) & np.isfinite(durations)
+    bad = np.nonzero(~finite)[0]
+    kinds.append((
+        "non-finite time",
+        bad.size,
+        [
+            f"event {srcs[i]}->{dsts[i]} has a non-finite time: start "
+            f"{starts[i]:.6g}, duration {durations[i]:.6g}"
+            for i in _first(bad, pairs)
+        ],
+    ))
+
+    # zero-duration events never overlap anything; non-finite ones are
+    # reported above and would only confuse the time order
+    live = finite & (durations > 0)
+    columns = (starts, srcs, dsts, durations)
+    if not live.all():
+        columns = tuple(column[live] for column in columns)
+    sender = _port_conflicts(*columns, "sender")
+    receiver = (
+        _port_conflicts(*columns, "receiver") if sender is not None else None
+    )
+    if sender is None or receiver is None:
+        # some port's events are out of construction order: establish
+        # global start order once and share it between the two roles
+        by_start = np.argsort(columns[0])
+        columns = tuple(column[by_start] for column in columns)
+        if sender is None:
+            sender = _port_conflicts(*columns, "sender", presorted=True)
+        if receiver is None:
+            receiver = _port_conflicts(*columns, "receiver", presorted=True)
+    kinds.append(("sender conflict", *sender))
+    kinds.append(("receiver conflict", *receiver))
+
+    if cost is not None:
+        counts = np.bincount(pairs, minlength=n * n)
+        duplicated = np.nonzero(counts > 1)[0][:_LISTED]
+        # every event of a pair after its first is one duplicate
+        kinds.append((
+            "duplicate pair",
+            pairs.size - np.count_nonzero(counts),
+            [
                 f"duplicate event for pair ({pair // n}, {pair % n})"
-            )
-        if duplicated.size > limit:
-            violations.append(f"duplicate pair: +{duplicated.size - limit} more")
-        wrong = np.abs(durations - cost[srcs, dsts]) > atol
-        for index in np.nonzero(wrong)[0][:limit].tolist():
-            violations.append(
-                f"event {int(srcs[index])}->{int(dsts[index])} has duration "
-                f"{durations[index]:.6g}, expected "
-                f"{cost[srcs[index], dsts[index]]:.6g}"
-            )
-        extra = int(wrong.sum()) - min(int(wrong.sum()), limit)
-        if extra > 0:
-            violations.append(f"wrong duration: +{extra} more")
+                for pair in np.repeat(
+                    duplicated, counts[duplicated] - 1
+                )[:_LISTED].tolist()
+            ],
+        ))
+        expected = cost[srcs, dsts]
+        wrong = np.nonzero(np.abs(durations - expected) > atol)[0]
+        kinds.append((
+            "wrong duration",
+            wrong.size,
+            [
+                f"event {srcs[i]}->{dsts[i]} has duration "
+                f"{durations[i]:.6g}, expected {expected[i]:.6g}"
+                for i in _first(wrong, pairs)
+            ],
+        ))
         if require_coverage:
             required = cost > 0
             np.fill_diagonal(required, False)
-            missing = required.reshape(-1) & (counts == 0)
-            for pair in np.nonzero(missing)[0][:limit].tolist():
-                violations.append(
+            missing = np.nonzero(required.reshape(-1) & (counts == 0))[0]
+            kinds.append((
+                "missing pair",
+                missing.size,
+                [
                     f"missing event for pair ({pair // n}, {pair % n})"
-                )
-            extra = int(missing.sum()) - min(int(missing.sum()), limit)
-            if extra > 0:
-                violations.append(f"missing pair: +{extra} more")
+                    for pair in missing[:_LISTED].tolist()
+                ],
+            ))
 
+    violations: List[str] = []
+    for kind, count, listed in kinds:
+        violations += listed
+        if count > len(listed):
+            violations.append(f"{kind}: +{count - len(listed)} more")
     if violations:
+        header = ", ".join(
+            f"{count} {kind}{'s' if count != 1 else ''}"
+            for kind, count, _ in kinds
+            if count
+        )
         preview = "; ".join(violations[:5])
         more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
         raise ScheduleError(
-            f"invalid schedule ({len(violations)} violation groups): "
-            f"{preview}{more}",
+            f"invalid schedule ({header}): {preview}{more}",
             violations=violations,
         )
+
+
+# The serving benchmark (``servebench``) imports this name and times the
+# inline repair check by replacing
+# ``repro.adaptive.delta.check_schedule_fast``, so the alias, and delta's
+# call through it, stay until the benchmark moves to ``check_schedule``.
+check_schedule_fast = check_schedule
 
 
 def is_valid_schedule(

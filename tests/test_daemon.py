@@ -20,6 +20,7 @@ from repro.serve.protocol import (
     ErrorResponse,
     ScheduleRequest,
     ScheduleResponse,
+    encode_message,
 )
 from repro.serve.tenants import TenantProfile, TenantState
 from repro.timing.validate import check_schedule
@@ -205,8 +206,12 @@ def test_same_cohort_requests_batch(tmp_path):
         with DaemonClient(sock) as client:
             for tenant in cohort:
                 client.open(tenant, procs=6, seed=42)
-            for tenant in cohort:
-                client.send(ScheduleRequest(tenant=tenant))
+            # one write, so the daemon reads the whole burst in one
+            # select round and queues it together
+            client._sock.sendall(b"".join(
+                encode_message(ScheduleRequest(tenant=tenant))
+                for tenant in cohort
+            ))
             responses = [client.recv() for _ in cohort]
     finally:
         stop_daemon(daemon, thread)

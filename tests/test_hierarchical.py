@@ -27,11 +27,7 @@ from repro.core.matching import schedule_matching_max
 from repro.core.openshop import schedule_openshop
 from repro.core.problem import TotalExchangeProblem
 from repro.perf.memo import ScheduleCache
-from repro.timing.validate import (
-    ScheduleError,
-    check_schedule,
-    check_schedule_fast,
-)
+from repro.timing.validate import check_schedule
 from tests.conftest import random_problem
 
 
@@ -225,59 +221,6 @@ class TestClusteredFamily:
             if 1 < k < 20:
                 hits += 1
         assert hits >= 3
-
-
-class TestCheckScheduleFast:
-    def test_agrees_on_valid_schedules(self):
-        for seed in range(3):
-            problem = random_problem(9, seed=seed, zero_fraction=0.2)
-            for schedule in (
-                schedule_openshop(problem),
-                schedule_hierarchical(problem, threshold=None),
-            ):
-                check_schedule(schedule, problem.cost)
-                check_schedule_fast(schedule, problem.cost)
-
-    def test_detects_sender_overlap(self):
-        from repro.timing.events import CommEvent, Schedule
-
-        schedule = Schedule.from_events(3, [
-            CommEvent(start=0.0, src=0, dst=1, duration=2.0),
-            CommEvent(start=1.0, src=0, dst=2, duration=2.0),
-        ])
-        with pytest.raises(ScheduleError, match="sender conflict"):
-            check_schedule_fast(schedule, require_coverage=False)
-
-    def test_detects_receiver_overlap(self):
-        from repro.timing.events import CommEvent, Schedule
-
-        schedule = Schedule.from_events(3, [
-            CommEvent(start=0.0, src=0, dst=2, duration=2.0),
-            CommEvent(start=1.0, src=1, dst=2, duration=2.0),
-        ])
-        with pytest.raises(ScheduleError, match="receiver conflict"):
-            check_schedule_fast(schedule)
-
-    def test_detects_duplicate_wrong_duration_and_missing(self):
-        from repro.timing.events import CommEvent, Schedule
-
-        cost = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        schedule = Schedule.from_events(3, [
-            CommEvent(start=0.0, src=0, dst=1, duration=1.0),
-            CommEvent(start=2.0, src=0, dst=1, duration=1.0),
-            CommEvent(start=0.0, src=1, dst=0, duration=5.0),
-        ])
-        with pytest.raises(ScheduleError) as excinfo:
-            check_schedule_fast(schedule, cost)
-        text = "\n".join(excinfo.value.violations)
-        assert "duplicate" in text
-        assert "duration" in text
-        assert "missing" in text
-
-    def test_clean_on_empty_schedule(self):
-        from repro.timing.events import Schedule
-
-        check_schedule_fast(Schedule(num_procs=2))
 
 
 class TestAssignmentReuse:

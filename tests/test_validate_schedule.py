@@ -173,6 +173,7 @@ class TestProcessorRange:
         )
 
     def test_fast_checker_rejects(self):
+        # ``check_schedule_fast`` is kept as an alias of ``check_schedule``.
         with pytest.raises(ScheduleError, match="outside"):
             check_schedule_fast(self.src_is_p())
 
@@ -192,3 +193,43 @@ class TestProcessorRange:
         problem = TotalExchangeProblem(cost=cost, sizes=cost)
         violations = oracle_violations(problem, self.src_is_p())
         assert any("outside [0, 3)" in v for v in violations)
+
+
+class TestNonFiniteTimes:
+    """An event whose start or duration is NaN or infinite is invalid.
+
+    ``CommEvent`` only rejects negative values, which NaN evades, and the
+    trusted column constructors check nothing; no valid producer emits
+    such an event, since problems reject non-finite costs."""
+
+    cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    @staticmethod
+    def schedule(start, duration):
+        return schedule_from_columns(
+            2, np.array([0.0, start]), np.array([1, 0]), np.array([0, 1]),
+            np.array([1.0, duration]), np.zeros(2),
+        )
+
+    CASES = {
+        "nan_start": (np.nan, 1.0),
+        "inf_start": (np.inf, 1.0),
+        "nan_duration": (0.0, np.nan),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_checker_rejects(self, case):
+        schedule = self.schedule(*self.CASES[case])
+        for cost in (None, self.cost):
+            with pytest.raises(ScheduleError, match="1 non-finite time"):
+                check_schedule(schedule, cost)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_oracle_reports_it(self, case):
+        from repro.check.oracle import oracle_violations
+        from repro.core.problem import TotalExchangeProblem
+
+        problem = TotalExchangeProblem(cost=self.cost)
+        schedule = self.schedule(*self.CASES[case])
+        violations = oracle_violations(problem, schedule)
+        assert any("non-finite time" in v for v in violations)
