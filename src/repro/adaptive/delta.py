@@ -24,13 +24,15 @@ event durations:
   port's *availability profile in order form*: every send and receive
   port keeps the exact sequence the incumbent plan proved feasible, and
   start times are recomputed in one earliest-start pass over the events
-  in old start order (``start = max(send avail, recv avail)``).  Events
-  ahead of every cascade keep their old start bit-for-bit; events
-  behind a grown one slide by the accumulated growth excess — the plan
-  shifts locally instead of re-packing globally.  Zero-duration
-  markers never occupy a port, so they keep their old starts, and
-  appeared pairs (a self-message on a node that previously had none)
-  are appended after the ordered events.
+  in old ``(start, src, dst)`` order (``start = max(send avail, recv
+  avail)``); ties at one start are broken by the pair, never by how the
+  plan's columns happen to be stored.  Events ahead of every cascade
+  keep their old start bit-for-bit; events behind a grown one slide by
+  the accumulated growth excess — the plan shifts locally instead of
+  re-packing globally.  Zero-duration markers never occupy a port, so
+  they keep their old starts, and appeared pairs (a self-message on a
+  node that previously had none) are appended after the ordered
+  events.
 
 The first splice of a plan computes, in the same sequential pass as the
 start times, each event's dependency *level* (the longest predecessor
@@ -64,6 +66,7 @@ from repro.core.problem import TotalExchangeProblem
 from repro.timing.events import (
     Schedule,
     event_columns,
+    event_order,
     schedule_from_unsorted_columns,
 )
 # imported under its alias so the inline check stays replaceable as
@@ -75,10 +78,9 @@ from repro.timing.validate import check_schedule_fast
 # level matrix for the next repair in the lineage (see module docstring).
 _LEVELS_ATTR = "_delta_levels"
 
-# Sort orders memoised on the (frozen) incumbent: its start order never
-# changes, and the level order only changes when the event set does, so
-# a plan repaired on every serving tick pays each argsort once.
-_ORDER_ATTR = "_delta_start_order"
+# Memoised on the (frozen) incumbent: the level order only changes
+# when the event set does, so a plan repaired on every serving tick
+# pays the argsort once.
 _LEVEL_ORDER_ATTR = "_delta_level_order"
 _HAS_EVENT_ATTR = "_delta_has_event"
 
@@ -263,14 +265,14 @@ def repair_schedule_delta(
         reinserted = 0
     else:
         # Order-preserving splice: positive events re-executed in old
-        # start order against the frozen per-port sequences; markers
-        # (zero new duration) occupy no port time and keep their slot;
-        # appeared self-messages go after the ordered events.
-        start_order = schedule.__dict__.get(_ORDER_ATTR)
-        if start_order is None:
-            start_order = np.argsort(starts, kind="stable")
-            schedule.__dict__[_ORDER_ATTR] = start_order
-        positive = start_order[new_dur[start_order] > 0]
+        # (start, src, dst) order against the frozen per-port sequences;
+        # markers (zero new duration) occupy no port time and keep their
+        # slot; appeared self-messages go after the ordered events.
+        order = event_order(schedule)
+        if order is None:
+            positive = np.flatnonzero(new_dur > 0)
+        else:
+            positive = order[new_dur[order] > 0]
         ev_srcs = np.concatenate([srcs[positive], appeared // n])
         ev_dsts = np.concatenate([dsts[positive], appeared % n])
         ev_durs = np.concatenate([new_dur[positive], flat_new[appeared]])

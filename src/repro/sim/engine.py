@@ -16,30 +16,27 @@ Semantics (paper Sections 3.2 and 4.3):
 The simulation is deterministic, so a given ``(cost, orders)`` always
 yields the same schedule.
 
-The executors are the innermost hot path of every sweep, so they avoid
-per-event numpy scalar indexing and unsorted event emission: the
-event-driven executor works on nested Python lists and plain field
-tuples sorted *before* :class:`CommEvent` construction (tuple sort is
-C-speed; sorting dataclasses is not), while the step executors relax
-whole steps at a time with vectorized ``maximum`` updates and emit
-column arrays straight into a lazily-materialised schedule.
-``tests/test_golden_equivalence.py`` pins these kernels to the seed
+The executors are the innermost hot path of every sweep and of every
+serving tick, so none of them builds a per-event Python object: the
+event-driven executor runs its FIFO loop over flat Python lists and
+writes bare start times, while the step executors relax whole steps at
+a time with vectorized ``maximum`` updates.  All of them emit column
+arrays in ``(start, src, dst)`` order straight into a
+lazily-materialised schedule.  ``tests/test_golden_equivalence.py`` and
+``tests/test_properties.py`` pin these kernels to the seed
 implementations preserved in :mod:`repro.perf.reference`.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.problem import TotalExchangeProblem
-from repro.timing.events import (
-    Schedule,
-    schedule_from_columns,
-    schedule_from_sorted_fields,
-)
+from repro.timing.events import Schedule, schedule_from_columns
 from repro.util.validation import check_square_matrix
 
 #: Per-sender destination lists, in dispatch order.
@@ -109,20 +106,6 @@ def check_orders(
     raise AssertionError("check_orders: vectorized and scalar walks disagree")
 
 
-def _schedule_from_fields(n: int, fields: List[tuple]) -> Schedule:
-    """Build a schedule from ``(start, src, dst, duration, size)`` tuples.
-
-    Tuple sort is C-speed and tuple lexicographic order equals
-    :class:`CommEvent` order, so after sorting here the trusted
-    constructor can skip the dataclass-level sort and validation.  The
-    executors guarantee the remaining invariants: indices come from
-    validated orders/steps and starts/durations are built from
-    non-negative cost entries.
-    """
-    fields.sort()
-    return schedule_from_sorted_fields(n, fields)
-
-
 def execute_orders_on_cost(
     cost: np.ndarray,
     orders: Sequence[Sequence[int]],
@@ -130,87 +113,79 @@ def execute_orders_on_cost(
     sizes: Optional[np.ndarray] = None,
     validate: bool = True,
 ) -> Schedule:
-    """Execute ``orders`` under ``cost`` and return the timed schedule."""
+    """Execute ``orders`` under ``cost`` and return the timed schedule.
+
+    The orders are flattened sender-major into one event array.  Each
+    sender's positive-cost events form its *chain*; only the chains run
+    through the FIFO loop, which writes each start into a flat float
+    list and builds no per-event record.  Zero-cost markers sit at their
+    sender's clock — the finish of the chain event before them, or 0 —
+    and are placed in one vectorized pass afterwards.
+    """
     cost = check_square_matrix("cost", cost, nonnegative=True)
     if validate:
         check_orders(orders, cost, require_coverage=False)
     n = cost.shape[0]
+    lengths = [len(dsts) for dsts in orders]
+    total = sum(lengths)
+    if not total:
+        return Schedule(num_procs=n)
+    dsts = np.fromiter(chain.from_iterable(orders), dtype=np.intp, count=total)
+    srcs = np.arange(n, dtype=np.intp).repeat(lengths)
+    durations = cost[srcs, dsts]
+    positive = durations > 0.0
+    markers = (~positive).nonzero()[0]
+    durations[markers] = 0.0  # a zero cost entry may be -0.0
 
-    # Hot-loop state as plain Python structures: nested float lists for
-    # O(1) scalar access without numpy boxing, and (time, src) heap
-    # entries — a sender has at most one outstanding request, so its
-    # pending destination/duration live in per-sender slots instead of
-    # being carried through the heap.
-    cost_rows = cost.tolist()
-    if sizes is not None:
-        size_rows = np.asarray(sizes, dtype=float).tolist()
-    else:
-        # Shared zero row: keeps the hot loop branch-free on sizes.
-        size_rows = [[0.0] * n] * n
-    order_lists = [list(dsts) for dsts in orders]
-    order_lens = [len(dsts) for dsts in order_lists]
-    next_index = [0] * n
+    # The chains, concatenated: sender s's chain occupies chain indices
+    # [bounds[s], bounds[s + 1]).
+    chain_durations = durations[positive]
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(srcs[positive], minlength=n), out=bounds[1:])
+    dst_of = dsts[positive].tolist()
+    duration_of = chain_durations.tolist()
+    chain_starts = [0.0] * len(dst_of)
     recv_free = [0.0] * n
-    pending_dst = [0] * n
-    pending_duration = [0.0] * n
-    fields: List[tuple] = []
-    fields_append = fields.append
+    first = bounds.tolist()
+    end = first[1:]
 
-    heap: List[Tuple[float, int]] = []
-    heappush = heapq.heappush
+    # Heap entries are (request time, src, chain index).  A sender has
+    # at most one outstanding request, so (time, src) is unique and the
+    # pop order is FIFO by request time, ties by sender.  The initial
+    # list is sorted, hence already a heap.
+    heap = [
+        (0.0, src, first[src]) for src in range(n) if first[src] < end[src]
+    ]
+    heapreplace = heapq.heapreplace
     heappop = heapq.heappop
-
-    def push_request(src: int, at_time: float) -> None:
-        """Queue sender ``src``'s next message, emitting free events inline."""
-        dsts = order_lists[src]
-        row = cost_rows[src]
-        idx = next_index[src]
-        while idx < len(dsts):
-            dst = dsts[idx]
-            idx += 1
-            duration = row[dst]
-            if duration > 0.0:
-                next_index[src] = idx
-                pending_dst[src] = dst
-                pending_duration[src] = duration
-                heappush(heap, (at_time, src))
-                return
-            fields_append((at_time, src, dst, 0.0, size_rows[src][dst]))
-        next_index[src] = idx
-
-    for src in range(n):
-        push_request(src, 0.0)
-
-    # Event loop with push_request's body inlined: one Python function
-    # call per event is measurable at 65k+ events.
     while heap:
-        request_time, src = heappop(heap)
-        dst = pending_dst[src]
-        duration = pending_duration[src]
+        request_time, src, i = heap[0]
+        dst = dst_of[i]
         ready = recv_free[dst]
         start = request_time if request_time >= ready else ready
-        finish = start + duration
+        finish = start + duration_of[i]
         recv_free[dst] = finish
-        fields_append((start, src, dst, duration, size_rows[src][dst]))
-        dsts = order_lists[src]
-        row = cost_rows[src]
-        idx = next_index[src]
-        remaining = order_lens[src]
-        while idx < remaining:
-            dst = dsts[idx]
-            idx += 1
-            duration = row[dst]
-            if duration > 0.0:
-                next_index[src] = idx
-                pending_dst[src] = dst
-                pending_duration[src] = duration
-                heappush(heap, (finish, src))
-                break
-            fields_append((finish, src, dst, 0.0, size_rows[src][dst]))
+        chain_starts[i] = start
+        i += 1
+        if i < end[src]:
+            heapreplace(heap, (finish, src, i))
         else:
-            next_index[src] = idx
+            heappop(heap)
 
-    return _schedule_from_fields(n, fields)
+    starts = np.empty(total)
+    chain_starts = np.array(chain_starts)
+    starts[positive] = chain_starts
+    if markers.size:
+        # The chain events a sender dispatched before a marker are the
+        # positive ones ahead of it in the flat order; the last of them
+        # (if it is the sender's own) sets the marker's clock.
+        before = np.cumsum(positive)[markers]
+        dispatched = before > bounds[srcs[markers]]
+        previous = before[dispatched] - 1
+        clock = np.zeros(markers.size)
+        clock[dispatched] = chain_starts[previous] + chain_durations[previous]
+        starts[markers] = clock
+    return _sorted_schedule(n, starts, srcs, dsts, durations, sizes)
 
 
 def execute_orders(
@@ -272,18 +247,33 @@ def _columns_schedule(
     duration_parts: List[np.ndarray],
     sizes: Optional[np.ndarray],
 ) -> Schedule:
-    """Assemble per-step event columns into a (lazy) sorted schedule.
+    """Assemble per-step event columns into a (lazy) sorted schedule."""
+    if not starts_parts:
+        return Schedule(num_procs=n)
+    return _sorted_schedule(
+        n,
+        np.concatenate(starts_parts),
+        np.concatenate(srcs_parts),
+        np.concatenate(dsts_parts),
+        np.concatenate(duration_parts),
+        sizes,
+    )
+
+
+def _sorted_schedule(
+    n: int,
+    starts: np.ndarray,
+    srcs: np.ndarray,
+    dsts: np.ndarray,
+    durations: np.ndarray,
+    sizes: Optional[np.ndarray],
+) -> Schedule:
+    """A lazy schedule over event columns, put in event order first.
 
     ``lexsort`` on ``(start, src, dst)`` reproduces the event tuple
     order exactly: a (src, dst) pair occurs at most once per schedule,
     so the remaining fields can never influence the sort.
     """
-    if not starts_parts:
-        return Schedule(num_procs=n)
-    starts = np.concatenate(starts_parts)
-    srcs = np.concatenate(srcs_parts)
-    dsts = np.concatenate(dsts_parts)
-    durations = np.concatenate(duration_parts)
     order = np.lexsort((dsts, srcs, starts))
     starts = starts[order]
     srcs = srcs[order]

@@ -77,14 +77,15 @@ class Schedule:
     schedules compare equal regardless of construction order.
 
     Schedules built by the trusted constructors
-    (:func:`schedule_from_sorted_fields`, :func:`schedule_from_columns`)
-    hold their event data in raw form and materialise the
-    :class:`CommEvent` tuple only when ``events`` is first read.  All
-    behaviour is unchanged — equality, iteration, hashing and every
-    accessor see the same tuple — but makespan-style consumers
-    (:attr:`completion_time`, ``len``) read the raw form directly, so a
-    sweep that only scores schedules never pays the per-event object
-    cost.
+    (:func:`schedule_from_fields`, :func:`schedule_from_columns`,
+    :func:`schedule_from_unsorted_columns`) hold their event data in raw
+    form and materialise the :class:`CommEvent` tuple only when
+    ``events`` is first read.  All behaviour is unchanged — equality,
+    iteration, hashing and every accessor see the same tuple — but the
+    serving-path readers (:attr:`completion_time`, ``len``,
+    :meth:`send_orders`, :func:`event_columns`) read the raw form
+    directly, so a serving tick or a sweep that only scores schedules
+    never pays the per-event object cost.
     """
 
     num_procs: int
@@ -108,10 +109,12 @@ class Schedule:
         if name == "events":
             pending = self.__dict__.get("_pending")
             if pending is not None:
-                events = _materialize_events(pending)
+                events = _materialize_events(self)
                 d = self.__dict__
                 d["events"] = events
                 d.pop("_pending", None)
+                # event_columns now reports event order
+                d.pop(_EVENT_ORDER_KEY, None)
                 return events
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
@@ -139,20 +142,32 @@ class Schedule:
 
     @property
     def completion_time(self) -> float:
-        """Makespan: finish time of the last event (0 for an empty schedule)."""
-        pending = self.__dict__.get("_pending")
-        if pending is not None:
-            kind, data = pending
-            if kind.endswith("columns"):
-                starts, _, _, durations, _ = data
-                if len(starts) == 0:
-                    return 0.0
-                return float(np.max(starts + durations))
-            return max(
-                (start + duration for start, _, _, duration, _ in data),
+        """Makespan: finish time of the last event (0 for an empty schedule).
+
+        Computed once: the schedule is frozen, so the value is memoised
+        in the instance dict.
+        """
+        d = self.__dict__
+        makespan = d.get("_completion_time")
+        if makespan is not None:
+            return makespan
+        pending = d.get("_pending")
+        if pending is None:
+            makespan = max(
+                (event.finish for event in self.events), default=0.0
+            )
+        elif pending[0].endswith("columns"):
+            starts, _, _, durations, _ = pending[1]
+            makespan = (
+                float((starts + durations).max()) if len(starts) else 0.0
+            )
+        else:
+            makespan = max(
+                (start + duration for start, _, _, duration, _ in pending[1]),
                 default=0.0,
             )
-        return max((event.finish for event in self.events), default=0.0)
+        d["_completion_time"] = makespan
+        return makespan
 
     def sender_events(self, src: int) -> List[CommEvent]:
         """Events sent by processor ``src``, in start order."""
@@ -169,9 +184,30 @@ class Schedule:
         re-execution under different network conditions via
         :func:`repro.sim.engine.execute_orders`.
         """
+        pending = self.__dict__.get("_pending")
+        if pending is not None and pending[0].endswith("columns"):
+            _, srcs, dsts, _ = event_columns(self)
+            order = event_order(self)
+            if order is not None:
+                srcs = srcs[order]
+                dsts = dsts[order]
+            # Group the canonically ordered destinations by sender; the
+            # stable sort keeps each sender's (start, dst) order.
+            by_src = np.argsort(srcs, kind="stable")
+            flat = dsts[by_src].tolist()
+            bounds = np.cumsum(
+                np.bincount(srcs, minlength=self.num_procs)
+            ).tolist()
+            return [
+                flat[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)
+            ]
         orders: List[List[int]] = [[] for _ in range(self.num_procs)]
-        for event in self.events:  # already start-sorted
-            orders[event.src].append(event.dst)
+        if pending is None:
+            for event in self.events:  # already start-sorted
+                orders[event.src].append(event.dst)
+        else:
+            for _, src, dst, _, _ in _sorted_fields(self):
+                orders[src].append(dst)
         return orders
 
     def busy_time(self, proc: int) -> Tuple[float, float]:
@@ -236,39 +272,69 @@ class Schedule:
         )
 
 
-def _materialize_events(pending) -> Tuple[CommEvent, ...]:
+#: Instance-dict key of an unsorted-columns schedule's memoised
+#: canonical permutation (see :func:`event_order`).
+_EVENT_ORDER_KEY = "_event_order"
+
+
+def event_order(schedule: Schedule) -> Optional[np.ndarray]:
+    """Permutation of :func:`event_columns` into ``(start, src, dst)`` order.
+
+    ``None`` when the columns already are in that order, which holds
+    for every form but unsorted columns (hierarchical plans, repair
+    outputs) whose ``events`` have not been read.  Their permutation is
+    computed once and memoised on the (frozen) schedule — one index
+    array, not a sorted copy of the columns — so a plan that is
+    re-read every serving tick pays the sort once.
+    """
+    d = schedule.__dict__
+    pending = d.get("_pending")
+    if pending is None or pending[0] != "unsorted_columns":
+        return None
+    order = d.get(_EVENT_ORDER_KEY)
+    if order is None:
+        starts, srcs, dsts = pending[1][:3]
+        order = np.lexsort((dsts, srcs, starts))
+        d[_EVENT_ORDER_KEY] = order
+    return order
+
+
+def _sorted_fields(schedule: Schedule) -> List[Tuple]:
+    """The field tuples of a field-built schedule, in event order.
+
+    Unsorted tuples are sorted in place, once: field tuples share
+    :class:`CommEvent`'s field order, so tuple order is event order,
+    and materialisation would sort them first anyway.
+    """
+    d = schedule.__dict__
+    kind, fields = d["_pending"]
+    if kind == "unsorted_fields":
+        fields.sort()
+        d["_pending"] = ("fields", fields)
+    return fields
+
+
+def _materialize_events(schedule: Schedule) -> Tuple[CommEvent, ...]:
     """Build the event tuple of a lazily-constructed schedule.
 
-    ``pending`` is ``("fields", [(start, src, dst, duration, size), ...])``
-    (presorted tuples), ``("unsorted_fields", [...])`` (same tuples in
-    arbitrary order, sorted here on first access), ``("columns",
-    (starts, srcs, dsts, durations, sizes))`` (presorted parallel numpy
-    arrays), or ``("unsorted_columns", ...)`` (same arrays in arbitrary
-    order, lexsorted here on first access).  Events are built by
-    populating the instance dict directly: the frozen-dataclass
-    ``__setattr__`` and per-field validation are bypassed by the trusted
-    constructors' contract.
+    Its ``_pending`` raw form is ``("fields", [(start, src, dst,
+    duration, size), ...])`` (sorted tuples), ``("unsorted_fields",
+    [...])`` (same tuples in arbitrary order, sorted on first access),
+    ``("columns", (starts, srcs, dsts, durations, sizes))`` (presorted
+    parallel numpy arrays), or ``("unsorted_columns", ...)`` (same
+    arrays in arbitrary order, permuted by :func:`event_order` here).
+    Events are built by populating the instance dict directly: the
+    frozen-dataclass ``__setattr__`` and per-field validation are
+    bypassed by the trusted constructors' contract.
     """
-    kind, data = pending
+    kind, data = schedule.__dict__["_pending"]
     if kind.endswith("columns"):
-        starts, srcs, dsts, durations, sizes = data
-        if kind == "unsorted_columns":
-            order = np.lexsort((dsts, srcs, starts))
-            starts = starts[order]
-            srcs = srcs[order]
-            dsts = dsts[order]
-            durations = durations[order]
-            sizes = sizes[order]
-        rows = zip(
-            starts.tolist(), srcs.tolist(), dsts.tolist(),
-            durations.tolist(), sizes.tolist(),
-        )
+        order = event_order(schedule)
+        if order is not None:
+            data = tuple(column[order] for column in data)
+        rows = zip(*(column.tolist() for column in data))
     else:
-        if kind == "unsorted_fields":
-            # Field tuples share CommEvent's field order, so one tuple
-            # sort yields the canonical event order.
-            data.sort()
-        rows = data
+        rows = _sorted_fields(schedule)
     new = object.__new__
     events = []
     append = events.append
@@ -284,40 +350,22 @@ def _materialize_events(pending) -> Tuple[CommEvent, ...]:
     return tuple(events)
 
 
-def schedule_from_sorted_fields(
-    num_procs: int, fields: Sequence[Tuple]
-) -> Schedule:
-    """Trusted lazy construction from presorted event field tuples.
+def schedule_from_fields(num_procs: int, fields: List[Tuple]) -> Schedule:
+    """Trusted lazy construction from event field tuples in any order.
 
     ``fields`` holds ``(start, src, dst, duration, size)`` tuples — the
-    exact field order of :class:`CommEvent`, so tuple lexicographic order
-    equals event order.  The executors in :mod:`repro.sim.engine` emit
-    tens of thousands of events per schedule at ``P >= 256``; going
-    through the dataclass constructor and re-sorting inside
-    :class:`Schedule` dominates their runtime, so this path defers event
-    construction until ``events`` is first read.
+    exact field order of :class:`CommEvent`, so tuple lexicographic
+    order equals event order.  The list is sorted in place when a
+    reader first needs event order (``events``,
+    :meth:`Schedule.send_orders`, :func:`event_columns`).  Schedulers
+    that emit events in pick order (open shop) use this so callers that
+    only score the schedule — ``completion_time`` needs one max, not an
+    ordering — never pay for the sort.
 
     Caller contract (checked only by the golden-equivalence tests, not
-    here): tuples are sorted ascending, indices lie in
-    ``[0, num_procs)``, and starts/durations are non-negative.  Anything
-    else produces a schedule that violates the class invariants.
-    """
-    schedule = object.__new__(Schedule)
-    d = schedule.__dict__
-    d["num_procs"] = num_procs
-    d["_pending"] = ("fields", fields)
-    return schedule
-
-
-def schedule_from_fields(num_procs: int, fields: List[Tuple]) -> Schedule:
-    """Trusted lazy construction from *unsorted* event field tuples.
-
-    Same contract as :func:`schedule_from_sorted_fields` except the
-    tuples may arrive in any order: the list is sorted in place when
-    ``events`` is first materialised.  Schedulers that emit events in
-    pick order (open shop) use this so callers that only score the
-    schedule — ``completion_time`` needs one max, not an ordering —
-    never pay for the sort.
+    here): indices lie in ``[0, num_procs)``, starts/durations are
+    non-negative, and no ``(src, dst)`` pair repeats.  Anything else
+    produces a schedule that violates the class invariants.
     """
     schedule = object.__new__(Schedule)
     d = schedule.__dict__
@@ -336,12 +384,12 @@ def schedule_from_columns(
 ) -> Schedule:
     """Trusted lazy construction from presorted parallel event columns.
 
-    Same contract as :func:`schedule_from_sorted_fields`, but the event
-    data arrives as numpy arrays already ordered by ``(start, src,
-    dst)``.  The step executors build these columns without any
-    per-event Python work; makespan queries then run vectorized on the
-    columns, and :class:`CommEvent` objects exist only if somebody
-    inspects the schedule event by event.
+    Same contract as :func:`schedule_from_fields`, but the event data
+    arrives as numpy arrays already ordered by ``(start, src, dst)``.
+    The executors build these columns without any per-event Python
+    object; makespan queries then run vectorized on the columns, and
+    :class:`CommEvent` objects exist only if somebody inspects the
+    schedule event by event.
     """
     schedule = object.__new__(Schedule)
     d = schedule.__dict__
@@ -361,7 +409,7 @@ def schedule_from_unsorted_columns(
     """Trusted lazy construction from *unsorted* parallel event columns.
 
     Same contract as :func:`schedule_from_columns` except the arrays may
-    arrive in any order: they are lexsorted by ``(start, src, dst)``
+    arrive in any order: they are put in ``(start, src, dst)`` order
     when ``events`` is first materialised.  The hierarchical scheduler
     emits its spliced events in matrix order; callers that only score
     the schedule never pay for the sort.
@@ -382,12 +430,14 @@ def event_columns(
 
     Reads the lazy column form directly when the schedule has one (in
     its construction order, which for ``unsorted_columns`` is not event
-    order), so column-built schedules never materialise per-event
-    objects.  The columns extracted from event objects are memoised on
-    the (frozen, hence immutable) schedule: a plan that is
-    delta-repaired on every serving tick is re-read each time, and
-    rebuilding a million-event column set from Python objects costs more
-    than the repair itself.  Callers must not mutate the arrays.
+    order: :func:`event_order` gives the permutation), so column-built
+    schedules never materialise per-event objects.  Columns built from
+    field tuples (sorted in place first) or from event objects are in
+    event order and memoised on the (frozen, hence immutable) schedule:
+    a plan that is delta-repaired on every serving tick is re-read each
+    time, and rebuilding a million-event column set from Python objects
+    costs more than the repair itself.  Callers must not mutate the
+    arrays.
     """
     cached = schedule.__dict__.get("_column_cache")
     if cached is not None:
@@ -401,20 +451,29 @@ def event_columns(
             np.asarray(dsts, dtype=np.intp),
             np.asarray(durations, dtype=float),
         )
-    events = schedule.events
-    starts = np.fromiter(
-        (e.start for e in events), dtype=float, count=len(events)
-    )
-    srcs = np.fromiter(
-        (e.src for e in events), dtype=np.intp, count=len(events)
-    )
-    dsts = np.fromiter(
-        (e.dst for e in events), dtype=np.intp, count=len(events)
-    )
-    durations = np.fromiter(
-        (e.duration for e in events), dtype=float, count=len(events)
-    )
-    columns = (starts, srcs, dsts, durations)
+    if "_pending" in schedule.__dict__:
+        fields = _sorted_fields(schedule)
+        columns = (
+            np.array([f[0] for f in fields], dtype=float),
+            np.array([f[1] for f in fields], dtype=np.intp),
+            np.array([f[2] for f in fields], dtype=np.intp),
+            np.array([f[3] for f in fields], dtype=float),
+        )
+    else:
+        events = schedule.events
+        starts = np.fromiter(
+            (e.start for e in events), dtype=float, count=len(events)
+        )
+        srcs = np.fromiter(
+            (e.src for e in events), dtype=np.intp, count=len(events)
+        )
+        dsts = np.fromiter(
+            (e.dst for e in events), dtype=np.intp, count=len(events)
+        )
+        durations = np.fromiter(
+            (e.duration for e in events), dtype=float, count=len(events)
+        )
+        columns = (starts, srcs, dsts, durations)
     schedule.__dict__["_column_cache"] = columns
     return columns
 

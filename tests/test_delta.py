@@ -17,14 +17,22 @@ from repro.adaptive.delta import (
     repair_plan,
     repair_schedule_delta,
 )
-from repro.adaptive.incremental import changed_mask, dirty_fraction
+from repro.adaptive import incremental
+from repro.adaptive.incremental import (
+    changed_mask,
+    dirty_fraction,
+    refine_orders,
+)
 from repro.check.oracle import oracle_violations
 from repro.core.hierarchical import HierarchicalScheduler
 from repro.core.openshop import schedule_openshop
 from repro.core.problem import TotalExchangeProblem
 from repro.directory.service import DirectorySnapshot
+from repro.perf import reference
 from repro.runtime import AdaptiveSession, PolicyConfig, drift_magnitude
+from repro.sim.engine import execute_orders_on_cost
 from repro.sim.replay import DriftTrace, TraceDirectory
+from repro.timing.events import event_columns, schedule_from_unsorted_columns
 from repro.timing.validate import check_schedule
 from tests.conftest import random_problem
 from tests.test_hierarchical import planted_problem
@@ -132,6 +140,107 @@ class TestFlatRepair:
         with pytest.raises(ValueError):
             repair_schedule_delta(
                 schedule, np.zeros((4, 4)), problem
+            )
+
+
+def _tied_instance(seed):
+    """An executed plan with many start ties and zero-cost markers, and
+    a reprice that grows positive pairs and turns markers positive.
+
+    P is 3-7, costs are integers in {0, ..., 3} with ~35% zero pairs,
+    and every sender dispatches all its off-diagonal pairs in a random
+    order, so markers often share a start with an event on their port.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    cost = rng.integers(1, 4, size=(n, n)).astype(float)
+    cost[rng.random((n, n)) < 0.35] = 0.0
+    np.fill_diagonal(cost, 0.0)
+    orders = [
+        [int(d) for d in rng.permutation(n) if d != src] for src in range(n)
+    ]
+    grown = cost + rng.integers(1, 3, size=(n, n)) * (
+        rng.random((n, n)) < 0.3
+    )
+    np.fill_diagonal(grown, 0.0)
+    return (
+        TotalExchangeProblem(cost=cost),
+        orders,
+        TotalExchangeProblem(cost=grown),
+    )
+
+
+def _same_repair(a, b):
+    assert a.schedule == b.schedule
+    assert a.completion_time == b.completion_time
+    assert (a.reinserted, a.frozen) == (b.reinserted, b.frozen)
+
+
+class TestRepairIsDeterministic:
+    """The splice's replay order comes from the plan's events alone:
+    not from the order its columns are stored in, nor from whether
+    ``events`` has been read."""
+
+    def test_column_order_and_reads_do_not_change_the_repair(self):
+        for seed in range(60):
+            problem, orders, new = _tied_instance(seed)
+            plan = execute_orders_on_cost(problem.cost, orders)
+            columns = event_columns(plan)
+            sizes = np.zeros(len(plan))
+            expected = repair_schedule_delta(plan, problem.cost, new)
+            for variant in range(4):
+                perm = np.random.default_rng(variant).permutation(len(plan))
+                shuffled = schedule_from_unsorted_columns(
+                    problem.num_procs,
+                    *(column[perm] for column in columns),
+                    sizes,
+                )
+                if variant % 2:
+                    shuffled.events  # materialise before repairing
+                result = repair_schedule_delta(shuffled, problem.cost, new)
+                _same_repair(result, expected)
+                _oracle_clean(result.schedule, new)
+
+    def test_executor_plan_repairs_like_the_seed_executor_plan(self):
+        for seed in range(60):
+            problem, orders, new = _tied_instance(seed)
+            plan = execute_orders_on_cost(problem.cost, orders)
+            seed_plan = reference.execute_orders_on_cost_reference(
+                problem.cost, orders
+            )
+            _same_repair(
+                repair_schedule_delta(plan, problem.cost, new),
+                repair_schedule_delta(seed_plan, problem.cost, new),
+            )
+
+    def test_refined_plan_repairs_like_the_seed_executor_plan(
+        self, monkeypatch
+    ):
+        def refine(problem, orders, drifted):
+            return refine_orders(
+                orders, drifted, old_problem=problem, evaluation="delta"
+            )
+
+        def seed_execute(problem, orders, *, validate=True):
+            return reference.execute_orders_on_cost_reference(
+                problem.cost, orders, sizes=problem.sizes, validate=validate
+            )
+
+        for seed in range(30):
+            problem, orders, new = _tied_instance(seed)
+            drifted = TotalExchangeProblem(cost=problem.cost * 1.5)
+            refined = refine(problem, orders, drifted)
+            with monkeypatch.context() as patch:
+                patch.setattr(incremental, "execute_orders", seed_execute)
+                seed_refined = refine(problem, orders, drifted)
+            assert refined.orders == seed_refined.orders
+            assert refined.schedule == seed_refined.schedule
+            regrown = TotalExchangeProblem(cost=new.cost * 1.5)
+            _same_repair(
+                repair_schedule_delta(refined.schedule, drifted.cost, regrown),
+                repair_schedule_delta(
+                    seed_refined.schedule, drifted.cost, regrown
+                ),
             )
 
 

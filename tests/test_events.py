@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.sim.engine import execute_orders_on_cost
 from repro.timing.events import (
     CommEvent,
     Schedule,
+    event_columns,
+    event_order,
     merge_schedules,
     schedule_from_columns,
     schedule_from_fields,
-    schedule_from_sorted_fields,
+    schedule_from_unsorted_columns,
 )
 from repro.timing.validate import check_schedule
 
@@ -139,18 +142,91 @@ class TestMergeSchedules:
             merge_schedules(3, [a])
 
 
+# (start, src, dst, duration, size) rows of one 4-processor plan with
+# start ties, zero-cost markers sharing a clock with positive events,
+# and a sender with nothing to send.
+_ROWS = [
+    (0.0, 0, 1, 2.0, 10.0),
+    (0.0, 0, 0, 0.0, 0.0),
+    (0.0, 1, 0, 1.0, 20.0),
+    (0.0, 2, 3, 0.0, 0.0),
+    (1.0, 1, 3, 2.0, 30.0),
+    (1.0, 2, 0, 1.0, 40.0),
+    (2.0, 0, 3, 0.0, 0.0),
+    (2.0, 0, 2, 1.5, 50.0),
+    (3.0, 1, 2, 0.0, 0.0),
+    (3.0, 2, 1, 1.0, 60.0),
+]
+
+
+def _shuffled_rows(seed):
+    order = np.random.default_rng(seed).permutation(len(_ROWS))
+    return [_ROWS[k] for k in order]
+
+
+def _columns(rows):
+    starts, srcs, dsts, durations, sizes = zip(*rows)
+    return (
+        np.array(starts),
+        np.array(srcs, dtype=np.intp),
+        np.array(dsts, dtype=np.intp),
+        np.array(durations),
+        np.array(sizes),
+    )
+
+
+def _executed():
+    cost = np.zeros((4, 4))
+    sizes = np.zeros((4, 4))
+    for _, src, dst, duration, size in _ROWS:
+        cost[src, dst] = duration
+        sizes[src, dst] = size
+    orders = [[0, 3, 1, 2], [2, 3, 0], [3, 1, 0], []]
+    return execute_orders_on_cost(cost, orders, sizes=sizes)
+
+
+#: The lazy kinds: unsorted fields (sorted in place by the first
+#: reader, which leaves the sorted-fields kind), sorted columns,
+#: unsorted columns, and the FIFO executor's output.
+LAZY_BUILDERS = {
+    "fields": lambda: schedule_from_fields(4, _shuffled_rows(1)),
+    "columns": lambda: schedule_from_columns(4, *_columns(sorted(_ROWS))),
+    "unsorted_columns": lambda: schedule_from_unsorted_columns(
+        4, *_columns(_shuffled_rows(2))
+    ),
+    "executor": _executed,
+}
+
+
+def _answers(schedule):
+    """What the serving-path readers report, with the columns also put
+    in canonical order by ``event_order``: unsorted columns report
+    construction order until ``events`` is read and event order
+    afterwards."""
+    columns = event_columns(schedule)
+    order = event_order(schedule)
+    if order is not None:
+        columns = tuple(column[order] for column in columns)
+    return {
+        "completion_time": schedule.completion_time,
+        "len": len(schedule),
+        "send_orders": schedule.send_orders(),
+        "canonical_columns": [c.tolist() for c in columns],
+    }
+
+
 class TestLazyScheduleEdgeCases:
     """Degenerate inputs to the trusted lazy constructors."""
 
     def test_empty_fields(self):
-        for factory in (schedule_from_fields, schedule_from_sorted_fields):
-            s = factory(3, [])
-            assert len(s) == 0
-            assert s.completion_time == 0.0
-            assert s.events == ()
-            # Still consistent after materialization.
-            assert len(s) == 0
-            assert s.completion_time == 0.0
+        s = schedule_from_fields(3, [])
+        assert len(s) == 0
+        assert s.completion_time == 0.0
+        assert s.send_orders() == [[], [], []]
+        assert s.events == ()
+        # Still consistent after materialization.
+        assert len(s) == 0
+        assert s.completion_time == 0.0
 
     def test_empty_columns(self):
         empty = np.array([])
@@ -167,8 +243,8 @@ class TestLazyScheduleEdgeCases:
         assert s.events == ()
 
     def test_zero_duration_markers_only(self):
-        fields = [(0.0, 0, 1, 0.0, 0.0), (0.0, 1, 0, 0.0, 0.0)]
-        s = schedule_from_sorted_fields(2, fields)
+        fields = [(0.0, 1, 0, 0.0, 0.0), (0.0, 0, 1, 0.0, 0.0)]
+        s = schedule_from_fields(2, fields)
         assert s.completion_time == 0.0
         assert len(s) == 2
         assert all(e.duration == 0.0 for e in s)
@@ -196,3 +272,35 @@ class TestLazyScheduleEdgeCases:
         )
         assert lazy == eager
         assert lazy.completion_time == eager.completion_time
+
+    @pytest.mark.parametrize("kind", sorted(LAZY_BUILDERS))
+    def test_readers_agree_before_and_after_materialisation(self, kind):
+        build = LAZY_BUILDERS[kind]
+        lazy = build()
+        before = _answers(lazy)
+        assert "events" not in lazy.__dict__  # the readers built no CommEvent
+        events = lazy.events
+        eager = Schedule.from_events(4, events)
+        fresh = build()
+        fresh.events  # materialised before any reader ran
+        for other in (_answers(lazy), _answers(eager), _answers(fresh)):
+            assert other == before
+        assert before["send_orders"] == [
+            [e.dst for e in events if e.src == src] for src in range(4)
+        ]
+
+    def test_event_order_is_memoised_until_materialisation(self):
+        lazy = LAZY_BUILDERS["unsorted_columns"]()
+        starts, srcs, dsts, _ = event_columns(lazy)
+        order = event_order(lazy)
+        np.testing.assert_array_equal(
+            order, np.lexsort((dsts, srcs, starts))
+        )
+        assert event_order(lazy) is order
+        lazy.events
+        # event_columns now reports event order; the permutation is gone
+        assert event_order(lazy) is None
+        assert "_event_order" not in lazy.__dict__
+        for kind in ("fields", "columns", "executor"):
+            assert event_order(LAZY_BUILDERS[kind]()) is None
+

@@ -13,7 +13,8 @@ from repro.core.matching import schedule_matching_min
 from repro.core.openshop import schedule_openshop
 from repro.core.problem import TotalExchangeProblem
 from repro.network.sharing import equal_share_rates, max_min_fair_rates
-from repro.sim.engine import execute_orders
+from repro.perf import reference
+from repro.sim.engine import execute_orders, execute_orders_on_cost
 from repro.timing.validate import check_schedule
 
 SETTINGS = settings(
@@ -116,6 +117,43 @@ def test_engine_respects_any_order_permutation(problem, data):
     schedule = execute_orders(problem, orders)
     check_schedule(schedule, problem.cost)
     assert schedule.completion_time >= problem.lower_bound() - 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fifo_executor_matches_seed_with_ties_and_markers(data):
+    # Integer costs in {0..3}: simultaneous requests at a receiver are
+    # common, and zero-cost markers land at the start, middle and end
+    # of chains; senders may be empty or all-markers.
+    n = data.draw(st.integers(1, 9), label="P")
+    cost = np.array(
+        data.draw(
+            st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n),
+            label="cost",
+        ),
+        dtype=float,
+    ).reshape(n, n)
+    orders = [
+        data.draw(
+            st.lists(st.integers(0, n - 1), unique=True, max_size=n),
+            label=f"order {src}",
+        )
+        for src in range(n)
+    ]
+    sizes = None
+    if data.draw(st.booleans(), label="sizes"):
+        sizes = np.arange(1.0, n * n + 1.0).reshape(n, n)
+    expected = reference.execute_orders_on_cost_reference(
+        cost, orders, sizes=sizes
+    )
+    for validate in (True, False):
+        got = execute_orders_on_cost(
+            cost, orders, sizes=sizes, validate=validate
+        )
+        assert got.completion_time == expected.completion_time
+        assert len(got) == len(expected)
+        assert got.send_orders() == expected.send_orders()
+        assert got == expected
 
 
 @SETTINGS

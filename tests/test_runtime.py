@@ -285,6 +285,56 @@ def test_fallback_results_never_cached():
     assert not second.event.cache_hit  # a hit would mean the fallback leaked
 
 
+# -- the serving path stays columnar ----------------------------------------
+
+
+def _costs(num_procs, cluster_size, seed):
+    """Random costs with contiguous clusters of ``cluster_size`` nodes
+    25-50x apart (the hierarchical scheduler's target shape; one
+    cluster is a flat instance)."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(num_procs) // cluster_size
+    k = int(labels[-1]) + 1
+    cost = rng.uniform(0.5, 10.0, (num_procs, num_procs))
+    level = rng.uniform(25.0, 50.0, (k, k))
+    same = labels[:, None] == labels[None, :]
+    cost = np.where(same, cost, cost * level[np.ix_(labels, labels)])
+    np.fill_diagonal(cost, 0.0)
+    return cost
+
+
+@pytest.mark.parametrize("scheduler", ["openshop", "hierarchical"])
+def test_serving_path_builds_no_comm_events(scheduler):
+    if scheduler == "openshop":
+        base = _costs(8, 8, seed=6)
+    else:
+        base = _costs(24, 6, seed=1)
+    # reschedule, reuse, repair (one sender repriced), refine (mild
+    # whole-fabric drift), reschedule (heavy drift), reuse
+    repriced = base.copy()
+    repriced[0] *= 4.0
+    costs = [base, base, repriced, base * 1.1, base * 3.0, base * 3.0]
+    bandwidth = np.full(base.shape, np.inf)
+    trace = DriftTrace(
+        times=tuple(float(k) for k in range(len(costs))),
+        snapshots=tuple(
+            DirectorySnapshot(latency=c, bandwidth=bandwidth, time=float(k))
+            for k, c in enumerate(costs)
+        ),
+    )
+    num_procs = base.shape[0]
+    session = AdaptiveSession(
+        TraceDirectory(trace), _sizes(num_procs), scheduler=scheduler
+    )
+    for k in range(len(costs)):
+        session.tick(dt=1.0 if k else 0.0)
+        assert "events" not in session.last_schedule.__dict__
+        assert "events" not in session._plan.schedule.__dict__
+    assert session.summary()["decisions"] == {
+        RESCHEDULE: 2, REUSE: 2, REPAIR: 1, REFINE: 1,
+    }
+
+
 # -- determinism -------------------------------------------------------------
 
 
