@@ -28,6 +28,11 @@ Candidates whose estimate cannot beat the incumbent are rejected
 without a full run; only promising ones pay for the executor, and every
 *accepted* move is still verified by a full run — so the refined result
 is never worse than the stale plan, exactly as in exact mode.  The
+estimate never falls below the latest finish among the other senders'
+events, and for every sender but the one owning the incumbent's last
+finish that is the incumbent's makespan itself: their candidates are
+rejected without being priced, so only the owner's moves are simulated
+(in plain floats, one receiver-gap scan per destination).  The
 default stays exact full re-execution (pinned against the seed by
 tests/test_golden_equivalence.py); the serving runtime opts into delta
 evaluation.
@@ -42,7 +47,7 @@ import numpy as np
 
 from repro.core.problem import TotalExchangeProblem
 from repro.sim.engine import SendOrders, execute_orders
-from repro.timing.events import Schedule
+from repro.timing.events import Schedule, event_columns
 
 
 @dataclass(frozen=True)
@@ -128,65 +133,84 @@ def changed_pairs(
     return set(zip(srcs.tolist(), dsts.tolist()))
 
 
-def _receiver_profiles(
-    schedule: Schedule, src: int, n: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Frozen receiver-busy profiles of ``schedule`` excluding ``src``.
+class _Screen:
+    """The delta screen of one incumbent execution.
 
-    Returns ``(busy_starts, busy_finishes, bounds, other_max)`` where
-    receiver ``d``'s intervals (sorted by start) live at
-    ``[bounds[d]:bounds[d + 1])`` and ``other_max`` is the latest finish
-    among all events not sent by ``src``.
+    A candidate that differs from the incumbent only in ``src``'s row is
+    estimated as ``max(other_max, chain_end)``.  ``other_max`` is the
+    latest finish among the incumbent's positive-duration events not
+    sent by ``src`` (0.0 if there is none); ``chain_end`` is where
+    ``src``'s serialized chain ends when it is simulated first-fit into
+    the receiver gaps those events leave.  Everything other senders do
+    is held at its incumbent timing.  A heuristic screen, not a bound —
+    accepted moves are always verified by a full executor run.
     """
-    from repro.timing.events import event_columns
 
-    starts, srcs, dsts, durations = event_columns(schedule)
-    sel = (srcs != src) & (durations > 0)
-    starts = starts[sel]
-    dsts = dsts[sel]
-    finishes = starts + durations[sel]
-    other_max = float(finishes.max()) if finishes.size else 0.0
-    order = np.lexsort((starts, dsts))
-    dsts = dsts[order]
-    bounds = np.searchsorted(dsts, np.arange(n + 1))
-    return starts[order], finishes[order], bounds, other_max
-
-
-def _screen_estimate(
-    profiles: Tuple[np.ndarray, np.ndarray, np.ndarray, float],
-    src: int,
-    row: Sequence[int],
-    cost: np.ndarray,
-) -> float:
-    """Estimated completion of a candidate differing only in ``src``'s row.
-
-    Simulates ``src``'s serialized chain first-fit into the frozen
-    receiver gaps; everything else is held at its incumbent timing.  A
-    heuristic screen, not a bound — accepted moves are always verified
-    by a full executor run.
-    """
-    busy_starts, busy_finishes, bounds, other_max = profiles
-    t = 0.0
-    for dst in row:
-        duration = cost[src, dst]
-        if duration <= 0:
-            continue
-        lo = bounds[dst]
-        hi = bounds[dst + 1]
-        if lo == hi:
-            t += duration
-            continue
-        # gap 0: [t, first busy start); gap i >= 1: from busy interval
-        # i - 1's finish (clamped to t); the gap after the last busy
-        # interval always fits.
-        gap_starts = np.concatenate(
-            ([t], np.maximum(busy_finishes[lo:hi], t))
+    def __init__(self, incumbent: Schedule, cost: np.ndarray):
+        self._incumbent = incumbent
+        self._cost = cost
+        self._profiles: dict = {}
+        starts, srcs, _, durations = event_columns(incumbent)
+        positive = durations > 0
+        # Each sender's latest positive finish.  The latest among the
+        # *other* senders is then the overall latest for everyone but the
+        # sender that owns it, which sees the runner-up.
+        last = np.zeros(cost.shape[0])
+        np.maximum.at(
+            last, srcs[positive], starts[positive] + durations[positive]
         )
-        gap_ends = np.concatenate((busy_starts[lo:hi], [np.inf]))
-        ok = gap_starts + duration <= gap_ends + 1e-12
-        start = float(gap_starts[int(np.argmax(ok))])
-        t = start + duration
-    return max(other_max, t)
+        self._owner = int(last.argmax())
+        self._latest = float(last[self._owner])
+        last[self._owner] = 0.0
+        self._runner_up = float(last.max())
+
+    def other_max(self, src: int) -> float:
+        return self._runner_up if src == self._owner else self._latest
+
+    def _profile(self, src: int) -> Tuple[list, list, list]:
+        """Per-receiver busy starts and finishes (sorted by start) of the
+        incumbent's positive events not sent by ``src``, plus ``src``'s
+        cost row, all as plain floats."""
+        n = self._cost.shape[0]
+        starts, srcs, dsts, durations = event_columns(self._incumbent)
+        sel = (srcs != src) & (durations > 0)
+        starts = starts[sel]
+        dsts = dsts[sel]
+        finishes = starts + durations[sel]
+        order = np.lexsort((starts, dsts))
+        bounds = np.searchsorted(dsts[order], np.arange(n + 1)).tolist()
+        starts = starts[order].tolist()
+        finishes = finishes[order].tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        return (
+            [starts[lo:hi] for lo, hi in spans],
+            [finishes[lo:hi] for lo, hi in spans],
+            self._cost[src].tolist(),
+        )
+
+    def estimate(self, src: int, row: Sequence[int]) -> float:
+        """Estimated completion of the candidate giving ``src`` ``row``."""
+        profile = self._profiles.get(src)
+        if profile is None:
+            profile = self._profiles[src] = self._profile(src)
+        busy_starts, busy_finishes, durations = profile
+        t = 0.0
+        for dst in row:
+            duration = durations[dst]
+            if duration <= 0:
+                continue
+            # gap 0 is [t, first busy start); gap i >= 1 opens at busy
+            # interval i - 1's finish (clamped to t); the gap after the
+            # last busy interval is open-ended, so it always fits.
+            start = t
+            for busy_start, busy_finish in zip(
+                busy_starts[dst], busy_finishes[dst]
+            ):
+                if start + duration <= busy_start + 1e-12:
+                    break
+                start = busy_finish if busy_finish > t else t
+            t = start + duration
+        return max(self.other_max(src), t)
 
 
 def refine_orders(
@@ -231,9 +255,9 @@ def refine_orders(
     incumbent = run(current)
     initial_time = incumbent.completion_time
     best_time = initial_time
-    # src -> frozen receiver profiles of the incumbent execution;
-    # invalidated wholesale whenever a move is accepted.
-    profiles: dict = {}
+    # The delta screen of the incumbent; dropped whenever a move is
+    # accepted.
+    screen: Optional[_Screen] = None
 
     # Every candidate differs from `current` in exactly one sender row, so
     # both passes mutate `current` in place and undo rejected moves instead
@@ -242,22 +266,33 @@ def refine_orders(
     # accept/reject decisions, and therefore the result, are unchanged —
     # tests/test_golden_equivalence.py pins this against the seed logic.
 
+    def pruned(src: int, margin: float) -> bool:
+        """Whether the screen rejects every reordering of ``src``'s row.
+
+        The estimate is at least ``other_max``, so a sender whose
+        ``other_max`` already misses the bar fails whatever its chain
+        does.  That is every sender but the owner of the incumbent's
+        last finish, so only the owner's moves are ever priced.
+        """
+        nonlocal screen
+        if screen is None:
+            screen = _Screen(incumbent, cost)
+        return not screen.other_max(src) < best_time - margin
+
     def try_move(src: int, margin: float) -> bool:
         """Cost the mutated ``current``; accept iff it beats the best."""
-        nonlocal best_time, incumbent, screened
-        if delta:
-            prof = profiles.get(src)
-            if prof is None:
-                prof = profiles[src] = _receiver_profiles(incumbent, src, n)
-            estimate = _screen_estimate(prof, src, current[src], cost)
-            if not estimate < best_time - margin:
-                screened += 1
-                return False
+        nonlocal best_time, incumbent, screened, screen
+        if delta and (
+            pruned(src, margin)
+            or not screen.estimate(src, current[src]) < best_time - margin
+        ):
+            screened += 1
+            return False
         schedule = run(current)
         if schedule.completion_time < best_time - margin:
             best_time = schedule.completion_time
             incumbent = schedule
-            profiles.clear()
+            screen = None
             return True
         return False
 
@@ -277,6 +312,10 @@ def refine_orders(
         improved = False
         for src in range(n):
             row = current[src]
+            if delta and pruned(src, 1e-12):
+                # Each swap of this row would be screened out and undone.
+                screened += max(len(row) - 1, 0)
+                continue
             for k in range(len(row) - 1):
                 row[k], row[k + 1] = row[k + 1], row[k]
                 if try_move(src, 1e-12):
@@ -286,9 +325,11 @@ def refine_orders(
         if not improved:
             break
 
+    # Rejected moves are undone, so `current` is the incumbent's orders
+    # and re-executing it would rebuild the incumbent bit for bit.
     return RefineResult(
         orders=current,
-        schedule=execute_orders(new_problem, current, validate=False),
+        schedule=incumbent,
         initial_time=initial_time,
         evaluations=evaluations,
         screened=screened,

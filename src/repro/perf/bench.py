@@ -460,6 +460,63 @@ def _allreduce_straggler(
     }
 
 
+def _refine_ticks(
+    num_procs: int,
+    *,
+    seed: int = 0,
+    refines: int,
+    sigma: float,
+    ticks: int,
+) -> Dict[str, Any]:
+    """Refine-tick latency of one drifting serving tenant.
+
+    A seeded daemon tenant (open shop, ``mixed`` sizes, a
+    ``drift:sigma=...`` directory) is served tick by tick until
+    ``refines`` of its ticks refine the active plan.  Records the p50
+    and worst refine time (each tick's ``scheduler_elapsed``: the
+    ``refine_orders`` call), the summed executor runs the refines made,
+    and the summed predicted makespans of the refined plans.
+    """
+    from repro.serve.tenants import TenantProfile, TenantState
+
+    directory = f"drift:sigma={sigma:g},ticks={ticks},seed={seed}"
+    tenant = TenantState(
+        TenantProfile(
+            tenant="bench", procs=num_procs, directory=directory, seed=seed
+        )
+    )
+    events = []
+    for tick in range(ticks):
+        event = tenant.session.tick(dt=1.0 if tick else 0.0).event
+        if event.decision == "refine":
+            events.append(event)
+            if len(events) == refines:
+                break
+    else:
+        raise ValueError(
+            f"{len(events)} of {refines} refine ticks in {ticks} ticks"
+        )
+    elapsed = np.asarray([event.scheduler_elapsed for event in events])
+    return {
+        "meta": {
+            "num_procs": num_procs,
+            "directory": directory,
+            "workload": tenant.profile.workload,
+            "scheduler": tenant.profile.scheduler,
+            "seed": seed,
+            "refine_ticks": [event.tick for event in events],
+        },
+        "refine": {
+            "p50_s": float(np.quantile(elapsed, 0.50)),
+            "max_s": float(elapsed.max()),
+        },
+        "evaluations": int(sum(event.refine_evaluations for event in events)),
+        "predicted_makespan_s": float(
+            sum(event.predicted_makespan for event in events)
+        ),
+    }
+
+
 def _drive_daemon(
     meta: Dict[str, Any], workloads: Optional[Sequence[str]] = None
 ) -> Dict[str, Any]:
@@ -1095,6 +1152,17 @@ TIERS: Dict[str, Tier] = {
                 "makespan.degradation_max", GUARANTEE, higher=True, bound=2.0
             ),
             Metric("tick_latency.p50_s", SECONDS),
+        ),
+    ),
+    "refine": Tier(
+        "refine_p{P}", _refine_ticks,
+        {"refines": 4, "sigma": 0.02, "ticks": 64},
+        sizes=(8, 32, 64),
+        metrics=(
+            Metric("refine.p50_s", SECONDS),
+            Metric("refine.max_s", SECONDS),
+            Metric("evaluations", QUALITY),
+            Metric("predicted_makespan_s", QUALITY),
         ),
     ),
     "daemon_load": Tier(

@@ -170,6 +170,19 @@ class ScheduleCache:
         self.misses += 1
         return None
 
+    def peek(
+        self,
+        problem: TotalExchangeProblem,
+        scheduler: Callable[[TotalExchangeProblem], Schedule],
+        *,
+        name: Optional[str] = None,
+    ) -> Optional[Schedule]:
+        """The cached schedule, or None, without counting a hit or a
+        miss or refreshing the entry's LRU position: for callers that
+        read what a lookup already decided (a cohort leader's plan)."""
+        key = (problem_digest(problem), _scheduler_label(scheduler, name))
+        return self._entries.get(key)
+
     def put(
         self,
         problem: TotalExchangeProblem,

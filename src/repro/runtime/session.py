@@ -441,9 +441,16 @@ class AdaptiveSession:
             self._reuse_streak += 1
 
         # Execute the active plan under the costs that actually
-        # materialised (the directory's truth when it exposes one).
+        # materialised (the directory's truth when it exposes one).  A
+        # refine already executed its orders under the planning costs, so
+        # without a separate truth that execution is served as is.
         actual = self._true_problem(planning, snapshot, sizes)
-        executed = execute_orders(actual, self._plan.orders, validate=False)
+        if decision == REFINE and actual is planning:
+            executed = self._plan.schedule
+        else:
+            executed = execute_orders(
+                actual, self._plan.orders, validate=False
+            )
         return _ServeState(
             decision=decision,
             reason=reason,

@@ -559,7 +559,7 @@ class SchedulerDaemon:
         plan = None
         if batched:
             leader_state = self.tenants[leader_req.tenant]
-            plan = leader_state.lookup_plan(leader_problem)
+            plan = leader_state.peek_plan(leader_problem)
         for conn, request, problem in members[1:]:
             state = self.tenants[request.tenant]
             if plan is not None:

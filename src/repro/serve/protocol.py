@@ -227,6 +227,11 @@ _TYPE_TAGS: Dict[Type, str] = {
     **{cls: tag for tag, cls in _RESPONSE_TYPES.items()},
 }
 
+#: Each message type's field names, in declaration order.
+_FIELD_NAMES: Dict[Type, Tuple[str, ...]] = {
+    cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in _TYPE_TAGS
+}
+
 
 # ---------------------------------------------------------------------------
 # Strict field validation.
@@ -362,13 +367,15 @@ def decode_response(line: bytes | str) -> Any:
 
 def encode_message(message: Any) -> bytes:
     """A request/response dataclass -> one ``\\n``-terminated wire line."""
-    tag = _TYPE_TAGS.get(type(message))
+    cls = type(message)
+    tag = _TYPE_TAGS.get(cls)
     if tag is None:
-        raise TypeError(
-            f"{type(message).__name__} is not a protocol message"
-        )
+        raise TypeError(f"{cls.__name__} is not a protocol message")
+    # Field values go to the encoder as they are: ``dataclasses.asdict``
+    # would deep-copy every one of them first, for the same bytes.
     payload = {"v": PROTOCOL_VERSION, "type": tag}
-    payload.update(dataclasses.asdict(message))
+    for name in _FIELD_NAMES[cls]:
+        payload[name] = getattr(message, name)
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 

@@ -207,9 +207,12 @@ class TenantState:
     def planning_digest(self, problem: TotalExchangeProblem) -> str:
         return problem_digest(problem)
 
-    def lookup_plan(self, problem: TotalExchangeProblem):
-        """This tenant's cached schedule for ``problem``, if any."""
-        return self.session.cache.lookup(
+    def peek_plan(self, problem: TotalExchangeProblem):
+        """This tenant's cached schedule for ``problem``, if any.
+
+        A peek: the read seeds a cohort's followers rather than serving a
+        tick, so it counts neither a hit nor a miss."""
+        return self.session.cache.peek(
             problem,
             self.session._scheduler,
             name=self.session.scheduler_name,

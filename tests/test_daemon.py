@@ -253,6 +253,44 @@ def test_batched_equals_unbatched(tmp_path):
             assert response.executed_s == result.event.executed_makespan
 
 
+class _RecordingSocket:
+    """Takes every byte the daemon flushes."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def send(self, data):
+        self.data.extend(data)
+        return len(data)
+
+
+def test_cache_stats_count_only_the_ticks_lookups():
+    """Seeding a cohort's followers reads the leader's plan without
+    counting a lookup: the cache statistics are the sessions' own."""
+    from repro.serve.daemon import _Connection
+    from repro.serve.protocol import OpenRequest, decode_response
+
+    daemon = SchedulerDaemon(DaemonConfig())
+    cohort = ["a", "b", "c", "d"]
+    for tenant in cohort:
+        daemon._open(OpenRequest(tenant=tenant, procs=6, seed=42))
+    sock = _RecordingSocket()
+    conn = _Connection(sock)
+    for _ in range(3):
+        daemon._run_batch(
+            [(conn, ScheduleRequest(tenant=tenant)) for tenant in cohort]
+        )
+    responses = [decode_response(line) for line in sock.data.splitlines()]
+    assert [r.decision for r in responses] == (
+        ["reschedule"] * 4 + ["reuse"] * 8
+    )
+    assert all(r.batched for r in responses)
+    # the leader's cold reschedule misses and its followers hit the
+    # seeded plan; the reuse rounds look nothing up
+    cache = daemon.stats()["cache"]
+    assert (cache["hits"], cache["misses"]) == (3, 1)
+
+
 def test_noisy_tenants_never_batch(tmp_path):
     daemon, thread, sock = start_daemon(tmp_path)
     try:

@@ -2,9 +2,11 @@
 fuzzing — malformed frames, truncated JSON, version skew, type confusion
 — must all produce clean :class:`ProtocolError`\\ s, never a crash."""
 
+import dataclasses
 import json
 import string
 
+import numpy as np
 import pytest
 
 from repro.serve import protocol
@@ -32,6 +34,9 @@ REQUESTS = [
         workload="ps:block_bytes=65536,servers=2",
         seed=7,
         policy={"reuse_threshold": 0.01},
+    ),
+    protocol.OpenRequest(
+        tenant="t-0003", policy={"nested": {"a": [1, 2.5], "b": None}}
     ),
     ScheduleRequest(tenant="t-0001", dt=0.5),
     protocol.StatsRequest(),
@@ -64,6 +69,28 @@ RESPONSES = [
     ErrorResponse(code="internal", message="boom"),
 ]
 
+# Responses carrying numpy floats or nested containers; ids of their own
+# keep the type-name ids of the list above as they are.
+NESTED_RESPONSES = [
+    pytest.param(
+        ScheduleResponse(
+            tenant="t-0002",
+            tick=1,
+            decision="refine",
+            predicted_s=np.float64(0.1) + np.float64(0.2),
+            executed_s=np.float64(1 / 3),
+            regret_s=0.0,
+        ),
+        id="ScheduleResponse-numpy",
+    ),
+    pytest.param(
+        protocol.StatsResponse(
+            stats={"cache": {"hits": 3, "hit_rate": 0.75}, "ops": {"paths": []}}
+        ),
+        id="StatsResponse-nested",
+    ),
+]
+
 
 # -- round trips ------------------------------------------------------------
 
@@ -77,11 +104,37 @@ def test_request_round_trip(message):
     assert encode_message(decode_request(line)) == line
 
 
-@pytest.mark.parametrize("message", RESPONSES, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize(
+    "message", RESPONSES + NESTED_RESPONSES, ids=lambda m: type(m).__name__
+)
 def test_response_round_trip(message):
     line = encode_message(message)
     assert decode_response(line) == message
     assert encode_message(decode_response(line)) == line
+
+
+def _asdict_encoding(message):
+    """The encoding as ``dataclasses.asdict`` (a deep copy) gives it."""
+    tag = protocol._TYPE_TAGS[type(message)]
+    payload = {"v": PROTOCOL_VERSION, "type": tag}
+    payload.update(dataclasses.asdict(message))
+    line = json.dumps(payload, separators=(",", ":")) + "\n"
+    return line.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "message",
+    REQUESTS + RESPONSES + NESTED_RESPONSES,
+    ids=lambda m: type(m).__name__,
+)
+def test_encoding_is_the_asdict_encoding(message):
+    assert encode_message(message) == _asdict_encoding(message)
+
+
+def test_every_registered_type_is_exercised():
+    covered = {type(message) for message in REQUESTS + RESPONSES}
+    assert covered == set(protocol._TYPE_TAGS)
+    assert len(covered) == 15
 
 
 def test_encoded_frame_shape():

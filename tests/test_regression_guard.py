@@ -325,6 +325,17 @@ class TestTierTable:
         for metric in TIERS["smoke"].metrics:
             assert metric.path.rsplit(".", 1)[1] in kernels
 
+    def test_refine_tier_reproduces_the_committed_decisions(self):
+        # The refine tier's quality numbers are deterministic: the same
+        # seeded tenant must make the same refine decisions.
+        fresh = run_tier("refine", (8,)).sections["refine_p8"]
+        committed = load_bench(BENCH_JSON)["extra"]["refine_p8"]
+        assert fresh["meta"] == committed["meta"]
+        assert fresh["evaluations"] == committed["evaluations"]
+        assert fresh["predicted_makespan_s"] == (
+            committed["predicted_makespan_s"]
+        )
+
     def test_guarantees_need_no_baseline(self):
         fresh = _with(STRAGGLER, makespan__degradation_max=1.5)
         metrics = TIERS["straggler"].metrics
