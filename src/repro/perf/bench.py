@@ -615,7 +615,7 @@ def _daemon_load(
 
     A :class:`~repro.serve.SchedulerDaemon` driven by the closed-loop
     pipelined load generator (``tenants`` sessions over ``cohorts``
-    shared profiles, so same-digest requests exercise cross-tenant
+    shared profiles, so same-cohort requests exercise cross-tenant
     batching).
     """
     return _drive_daemon({

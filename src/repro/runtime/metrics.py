@@ -14,13 +14,18 @@ from __future__ import annotations
 
 import json
 import pathlib
+from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Deque, Dict, List, Mapping, Optional, Union
 
 from repro.ops.sink import Counter, MetricsSink
 
 #: Trace timestamps are microseconds (matches :mod:`repro.io.trace`).
 _US = 1e6
+
+#: Recent samples a histogram keeps by default, and recent tick events
+#: a :class:`RuntimeMetrics` registry keeps.
+RECENT_WINDOW = 256
 
 
 class Histogram:
@@ -33,7 +38,7 @@ class Histogram:
 
     __slots__ = ("name", "count", "total", "min", "max", "_recent", "_keep")
 
-    def __init__(self, name: str, keep: int = 256):
+    def __init__(self, name: str, keep: int = RECENT_WINDOW):
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep}")
         self.name = name
@@ -184,7 +189,9 @@ REPAIR_ACTIONS = ("", "retry", "repair", "full")
 
 class RuntimeMetrics(MetricsSink):
     """In-memory :class:`repro.ops.sink.MetricsSink`: counters,
-    reservoir histograms, and the per-tick event log.
+    reservoir histograms, and the most recent :data:`RECENT_WINDOW`
+    tick events (counters, histograms and :meth:`summary` count every
+    tick; a serving loop runs unboundedly many).
 
     ``emit`` accepts the session's :class:`TickEvent` (or a mapping with
     the same fields) and folds it into the aggregates; ``observe``
@@ -197,7 +204,7 @@ class RuntimeMetrics(MetricsSink):
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self.events: List[TickEvent] = []
+        self.events: Deque[TickEvent] = deque(maxlen=RECENT_WINDOW)
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
@@ -209,7 +216,7 @@ class RuntimeMetrics(MetricsSink):
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = Histogram(
-                name, keep=keep if keep is not None else 256
+                name, keep=keep if keep is not None else RECENT_WINDOW
             )
         return histogram
 
@@ -226,7 +233,8 @@ class RuntimeMetrics(MetricsSink):
         self.histogram(name).record(value)
 
     def record_tick(self, event: TickEvent) -> None:
-        """Fold one tick into the counters/histograms and keep the event."""
+        """Fold one tick into the counters/histograms and keep the event
+        (the oldest kept event drops once the window is full)."""
         if event.decision not in DECISIONS:
             raise ValueError(
                 f"unknown decision {event.decision!r}; "
@@ -341,7 +349,7 @@ class RuntimeMetrics(MetricsSink):
 
     def to_json(self) -> Dict[str, Any]:
         """Full JSON-serialisable dump: summary, counters, histograms,
-        and the per-tick structured events."""
+        and the recent per-tick structured events."""
         return {
             "summary": self.summary(),
             "counters": {

@@ -17,16 +17,17 @@ Layers
     Per-tenant state: a :class:`~repro.serve.tenants.TenantProfile`
     (spec strings for scheduler / directory / workload, all parsed by
     the one grammar in :mod:`repro.util.spec`), the session it builds,
-    and a :class:`~repro.serve.tenants.ShardedScheduleCache` so hot
-    tenants cannot evict each other's plans.
+    and a :class:`~repro.serve.tenants.ShardedScheduleCache` that puts
+    each cohort on one shard, so its tenants share plans and a hot
+    cohort cannot evict the others'.
 :mod:`repro.serve.state`
     Session snapshot + restore: the daemon drains to a JSON state file
     and a restarted daemon resumes every tenant bit-identically.
 :mod:`repro.serve.daemon`
     The event loop: a unix socket (TCP optional), a bounded request
     queue with admission control (reject-with-retry-after when
-    saturated), batched scheduling of same-digest requests across
-    tenants, backpressure signalling, graceful drain/restart.
+    saturated), batched scheduling of same-cohort, same-clock requests
+    across tenants, backpressure signalling, graceful drain/restart.
 :mod:`repro.serve.client`
     Typed sync client plus the load generator the bench and CI drive.
 """

@@ -7,7 +7,7 @@ callers can implement their own backoff.
 
 :class:`LoadGenerator` is the closed-loop driver CI and the bench use:
 ``tenants`` simulated clients drawn from a small number of *cohorts*
-(same procs/seed/specs), so the daemon's same-digest batching has
+(same procs/seed/specs), so the daemon's cohort batching has
 cross-tenant hits to find, issuing schedule requests as fast as the
 daemon answers and honouring every ``retry_after_s`` hint.  Its
 :class:`LoadReport` is the contract the acceptance bar checks: requests
@@ -315,7 +315,7 @@ class LoadGenerator:
             for _ in range(self.connections)
         ]
         # Same-cohort tenants are issued as one pipelined burst so their
-        # same-digest requests sit in the daemon's queue together — that
+        # same-clock requests sit in the daemon's queue together — that
         # is what cross-tenant batching feeds on.  Bursting also keeps a
         # cohort's clocks in lockstep (every member sees every round).
         cohort_members: List[List[str]] = [[] for _ in range(self.cohorts)]

@@ -19,10 +19,13 @@ Load-shedding story, in order:
    the high watermark, so well-behaved clients slow down *before*
    hitting admission control.
 3. **Cross-tenant batching.**  Queued requests are drained in batches
-   and grouped by planning-problem digest: tenants in the same cohort
-   (same specs, same seed, same clock) need the same schedule, so one
-   leader computes it and donates it to every follower's cache shard —
-   N scheduler invocations become 1 + (N-1) cache hits.
+   and grouped by cohort and clock: tenants in the same cohort (same
+   specs, same seed) plan the same problem at the same clock, and a
+   cohort shares one cache shard, so the leader's reschedule puts the
+   plan each follower's own lookup then hits — N scheduler invocations
+   become 1 + (N-1) cache hits.  Grouping reads only the profile and
+   the clock; every tick still advances its own directory by its own
+   ``dt``.
 
 Drain/restart: ``drain`` stops admission, flushes the queue, then
 snapshots every tenant (:mod:`repro.serve.state`) to a JSON state file;
@@ -91,7 +94,7 @@ class DaemonConfig:
     retry_after_s: float = 0.05
     #: Max schedule requests drained per batching round.
     batch_max: int = 64
-    #: Cache shards (tenants hash onto these).
+    #: Cache shards (cohorts hash onto these).
     cache_shards: int = 8
     #: LRU capacity of each shard.
     cache_maxsize_per_shard: int = 256
@@ -483,7 +486,7 @@ class SchedulerDaemon:
         )
         try:
             state = TenantState(
-                profile, cache=self.cache.shard_for(request.tenant)
+                profile, cache=self.cache.shard_for(profile.cohort)
             )
         except (KeyError, ValueError, TypeError) as exc:
             return ErrorResponse(
@@ -509,11 +512,14 @@ class SchedulerDaemon:
     def _run_batch(
         self, batch: List[Tuple[_Connection, ScheduleRequest]]
     ) -> None:
-        # Phase 1: advance every tenant's clock, probe the planning
-        # problem where that is safe, and group by digest.
-        groups: Dict[str, List[Tuple[_Connection, ScheduleRequest, Any]]] = {}
+        # Group by (cohort, the clock the tick will serve at), reading
+        # only profiles and clocks: a cohort shares one cache shard, so
+        # the leader's reschedule answers its followers' lookups.
+        groups: Dict[tuple, List[Tuple[_Connection, ScheduleRequest]]] = {}
         singles: List[Tuple[_Connection, ScheduleRequest]] = []
-        advanced: set = set()
+        # Each tenant's clock after its earlier requests in this batch;
+        # None once the tenant runs unbatched.
+        clocks: Dict[str, Optional[float]] = {}
         for conn, request in batch:
             state = self.tenants.get(request.tenant)
             if state is None:
@@ -525,60 +531,41 @@ class SchedulerDaemon:
                     ),
                 )
                 continue
-            if not state.batchable:
+            tenant = request.tenant
+            clock = clocks.get(tenant, state.directory.time)
+            if (
+                not state.batchable
+                or clock is None
+                or (tenant in clocks and request.dt)
+            ):
+                # RNG-backed flavours run unbatched.  So do a tenant's
+                # second advancing tick in one batch and every tick of
+                # it after that: singles run after the groups, so its
+                # ticks keep their order.
+                clocks[tenant] = None
                 singles.append((conn, request))
                 continue
-            # One tenant may appear twice in a batch; advance once per
-            # queue entry, in order, exactly as sequential ticks would.
-            if request.dt and request.tenant in advanced:
-                # Second tick of the same tenant in one batch: run it
-                # unbatched to keep per-tenant ordering trivially right.
-                singles.append((conn, request))
-                continue
-            advanced.add(request.tenant)
-            if request.dt:
-                state.directory.advance(request.dt)
-            problem = state.planning_problem()
-            digest = state.planning_digest(problem)
-            key = f"{digest}:{state.session.scheduler_name}"
-            groups.setdefault(key, []).append((conn, request, problem))
-        for members in groups.values():
-            self._run_group(members)
-        for conn, request in singles:
-            self._respond_tick(
-                conn, request, dt=request.dt, batched=False
+            clocks[tenant] = clock = clock + request.dt
+            groups.setdefault((state.profile.cohort, clock), []).append(
+                (conn, request)
             )
-
-    def _run_group(
-        self, members: List[Tuple[_Connection, ScheduleRequest, Any]]
-    ) -> None:
-        """Tick a same-digest cohort: leader computes, followers hit."""
-        leader_conn, leader_req, leader_problem = members[0]
-        batched = len(members) > 1
-        self._respond_tick(leader_conn, leader_req, dt=0.0, batched=batched)
-        plan = None
-        if batched:
-            leader_state = self.tenants[leader_req.tenant]
-            plan = leader_state.peek_plan(leader_problem)
-        for conn, request, problem in members[1:]:
-            state = self.tenants[request.tenant]
-            if plan is not None:
-                state.seed_plan(problem, plan)
-                self._count("batched")
-            self._respond_tick(conn, request, dt=0.0, batched=True)
+        for members in groups.values():
+            batched = len(members) > 1
+            for position, (conn, request) in enumerate(members):
+                hit = self._respond_tick(conn, request, batched=batched)
+                if hit and position:
+                    self._count("batched")
+        for conn, request in singles:
+            self._respond_tick(conn, request, batched=False)
 
     def _respond_tick(
-        self,
-        conn: _Connection,
-        request: ScheduleRequest,
-        *,
-        dt: float,
-        batched: bool,
-    ) -> None:
+        self, conn: _Connection, request: ScheduleRequest, *, batched: bool
+    ) -> bool:
+        """Serve one tick and answer it; True when the cache answered."""
         state = self.tenants[request.tenant]
         started = time.monotonic()
         try:
-            result = state.session.tick(dt=dt)
+            result = state.session.tick(dt=request.dt)
         except Exception as exc:  # noqa: BLE001 — serving must not die
             self._count("internal_errors")
             self._send(
@@ -586,7 +573,7 @@ class SchedulerDaemon:
                 ErrorResponse("internal", f"{type(exc).__name__}: {exc}"),
             )
             self._flush(conn)
-            return
+            return False
         latency = time.monotonic() - started
         self.metrics.observe("decision_latency_s", latency)
         state.requests_served += 1
@@ -628,6 +615,7 @@ class SchedulerDaemon:
             }
         )
         self._flush(conn)
+        return event.cache_hit
 
     # -- state file ---------------------------------------------------------
 
@@ -666,9 +654,9 @@ class SchedulerDaemon:
                 f"(format={payload.get('format')!r})"
             )
         for entry in payload.get("tenants", []):
-            tenant = str(entry["profile"]["tenant"])
-            self.tenants[tenant] = TenantState.restore(
-                entry, cache=self.cache.shard_for(tenant)
+            profile = TenantProfile.from_dict(entry["profile"])
+            self.tenants[profile.tenant] = TenantState.restore(
+                entry, cache=self.cache.shard_for(profile.cohort)
             )
             self._count("restored")
 

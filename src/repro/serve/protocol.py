@@ -16,7 +16,8 @@ Rules the codec enforces (and the fuzz tests pin):
   ``error`` response with code ``"version"`` — never a crash, never a
   silent misparse.
 * ``type`` selects one registered dataclass; unknown types, unknown
-  fields, missing required fields and wrong field types each raise
+  fields, missing required fields, wrong field types and out-of-range
+  values (a negative or non-finite ``dt``) each raise
   :class:`ProtocolError` with code ``"malformed"`` and a message naming
   the offending token.
 * Frames above :data:`MAX_FRAME_BYTES` and frames that are not a single
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Type
 
@@ -100,6 +102,14 @@ class ScheduleRequest:
 
     tenant: str
     dt: float = 1.0
+
+    def __post_init__(self) -> None:
+        # A directory clock only moves forward, and a NaN would stick in
+        # it for good.
+        if not math.isfinite(self.dt) or self.dt < 0:
+            raise ValueError(
+                f"dt must be a finite number >= 0, got {self.dt!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,20 @@ A tenant is one client workload with its own session: a
 :class:`TenantState` owns the live
 :class:`~repro.runtime.session.AdaptiveSession` built from it.
 
-Cache isolation is per-shard, not per-tenant:
-:class:`ShardedScheduleCache` hashes the tenant id onto a small fixed
-set of :class:`~repro.perf.memo.ScheduleCache` shards, so a hot tenant
-thrashing its shard cannot evict every other tenant's plans, while
-tenants that share a shard *and* a problem digest still hit each
-other's entries — which is exactly what cross-tenant batching exploits.
+The schedule cache is how tenants share plans:
+:class:`ShardedScheduleCache` hashes a tenant's *cohort* (its profile
+minus the tenant name and the policy) onto a small fixed set of
+:class:`~repro.perf.memo.ScheduleCache` shards.  Every tenant of one
+cohort therefore reads and writes the same shard, so a cohort leader's
+reschedule answers each follower's own cache lookup, while a hot cohort
+thrashing its shard cannot evict every other cohort's plans.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -96,6 +97,15 @@ class TenantProfile:
     def resumable(self) -> bool:
         return self.directory_flavour in RESUMABLE_FLAVOURS
 
+    @property
+    def cohort(self) -> Tuple[int, str, str, str, int]:
+        """The profile minus the tenant name and the policy: tenants of
+        one cohort plan the same problem at the same clock."""
+        return (
+            self.procs, self.scheduler, self.directory, self.workload,
+            self.seed,
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "tenant": self.tenant,
@@ -121,11 +131,11 @@ class TenantProfile:
 
 
 class ShardedScheduleCache:
-    """A fixed set of :class:`ScheduleCache` shards keyed by tenant id.
+    """A fixed set of :class:`ScheduleCache` shards keyed by cohort.
 
-    The shard index is a stable CRC of the tenant string, so the same
-    tenant always lands on the same shard — across connections and
-    across daemon restarts.
+    The shard index is a stable CRC of the cohort
+    (:attr:`TenantProfile.cohort`), so every tenant of one cohort lands
+    on the same shard — across connections and across daemon restarts.
     """
 
     def __init__(self, num_shards: int = 8, *, maxsize_per_shard: int = 256):
@@ -137,11 +147,11 @@ class ShardedScheduleCache:
             for _ in range(self.num_shards)
         ]
 
-    def shard_index(self, tenant: str) -> int:
-        return zlib.crc32(tenant.encode("utf-8")) % self.num_shards
+    def shard_index(self, cohort: Tuple) -> int:
+        return zlib.crc32(repr(cohort).encode("utf-8")) % self.num_shards
 
-    def shard_for(self, tenant: str) -> ScheduleCache:
-        return self._shards[self.shard_index(tenant)]
+    def shard_for(self, cohort: Tuple) -> ScheduleCache:
+        return self._shards[self.shard_index(cohort)]
 
     def stats(self) -> Dict[str, Any]:
         per_shard = [shard.stats() for shard in self._shards]
@@ -184,49 +194,29 @@ class TenantState:
         self.requests_served = 0
         self.restored = False
 
-    # -- cross-tenant batching hooks ----------------------------------------
+    # -- cross-tenant batching ----------------------------------------------
 
     @property
     def batchable(self) -> bool:
-        """Safe to probe the planning problem outside a tick.
+        """Whether one cohort at one clock plans one problem.
 
         Deterministic directories answer ``snapshot()`` as a pure
         function of time; RNG-backed flavours (``noisy``/``perturb``)
-        redraw per query, so probing them would change the stream the
-        session sees and is disabled.
+        redraw per query, so their tenants never group.
         """
         return self.profile.directory_flavour in RESUMABLE_FLAVOURS
 
     def planning_problem(self) -> TotalExchangeProblem:
-        """The instance this tenant's *next* tick will plan against
-        (valid only after the directory has been advanced)."""
+        """The instance a tick at the directory's current clock plans
+        against (the serving benchmark and tests read it)."""
         return TotalExchangeProblem.from_snapshot(
             self.directory.snapshot(), self.sizes
         )
 
+    # The serving benchmark (``servebench``) times this name, so it stays
+    # until the benchmark stops wrapping it; nothing in ``src`` calls it.
     def planning_digest(self, problem: TotalExchangeProblem) -> str:
         return problem_digest(problem)
-
-    def peek_plan(self, problem: TotalExchangeProblem):
-        """This tenant's cached schedule for ``problem``, if any.
-
-        A peek: the read seeds a cohort's followers rather than serving a
-        tick, so it counts neither a hit nor a miss."""
-        return self.session.cache.peek(
-            problem,
-            self.session._scheduler,
-            name=self.session.scheduler_name,
-        )
-
-    def seed_plan(self, problem: TotalExchangeProblem, schedule) -> None:
-        """Donate a schedule computed by a same-digest cohort leader, so
-        this tenant's reschedule becomes a cache hit."""
-        self.session.cache.put(
-            problem,
-            self.session._scheduler,
-            schedule,
-            name=self.session.scheduler_name,
-        )
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe state: profile + session internals + clock."""

@@ -17,6 +17,7 @@ plan against the directory, watch it drift, measure the gap.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
@@ -136,13 +137,7 @@ class DriftTrace:
 
     def at(self, time: float) -> DirectorySnapshot:
         """The snapshot in force at ``time`` (clamped at the ends)."""
-        index = 0
-        for k, t in enumerate(self.times):
-            if t <= time:
-                index = k
-            else:
-                break
-        return self.snapshots[index]
+        return self.snapshots[max(bisect_right(self.times, time) - 1, 0)]
 
 
 def synthetic_drift_trace(

@@ -1,9 +1,10 @@
 """End-to-end daemon tests: admission control, backpressure, batching,
 drain/restart resume, and crash-resistance against hostile frames.
 
-Every test runs a real :class:`SchedulerDaemon` event loop in a thread
-against a unix socket in ``tmp_path`` and speaks the actual wire
-protocol through :class:`DaemonClient`.
+Most tests run a real :class:`SchedulerDaemon` event loop in a thread
+against a unix socket in ``tmp_path`` and speak the actual wire
+protocol through :class:`DaemonClient`; the cohort-batching tests feed
+``_run_batch`` directly, so each batch is exactly the one they build.
 """
 
 import json
@@ -16,10 +17,15 @@ from repro.serve import (
     DaemonConfig,
     SchedulerDaemon,
 )
+from repro.serve.daemon import _Connection
 from repro.serve.protocol import (
+    DrainRequest,
     ErrorResponse,
+    OpenRequest,
+    OpenResponse,
     ScheduleRequest,
     ScheduleResponse,
+    decode_response,
     encode_message,
 )
 from repro.serve.tenants import TenantProfile, TenantState
@@ -264,31 +270,127 @@ class _RecordingSocket:
         return len(data)
 
 
-def test_cache_stats_count_only_the_ticks_lookups():
-    """Seeding a cohort's followers reads the leader's plan without
-    counting a lookup: the cache statistics are the sessions' own."""
-    from repro.serve.daemon import _Connection
-    from repro.serve.protocol import OpenRequest, decode_response
+#: Four tenant ids that a per-tenant hash spreads over four shards.
+COHORT = ["a", "b", "c", "d"]
 
+
+def _in_process_daemon(tenants, **profile):
+    """A daemon with ``tenants`` opened on one profile, driven without a
+    socket."""
     daemon = SchedulerDaemon(DaemonConfig())
-    cohort = ["a", "b", "c", "d"]
-    for tenant in cohort:
-        daemon._open(OpenRequest(tenant=tenant, procs=6, seed=42))
+    for tenant in tenants:
+        opened = daemon._open(OpenRequest(tenant=tenant, **profile))
+        assert isinstance(opened, OpenResponse), opened
+    return daemon
+
+
+def _run_batches(daemon, batches):
+    """Serve each list of tenant ids as one ``_run_batch``; returns the
+    decoded responses in order."""
     sock = _RecordingSocket()
     conn = _Connection(sock)
-    for _ in range(3):
+    for tenants in batches:
         daemon._run_batch(
-            [(conn, ScheduleRequest(tenant=tenant)) for tenant in cohort]
+            [(conn, ScheduleRequest(tenant=tenant)) for tenant in tenants]
         )
-    responses = [decode_response(line) for line in sock.data.splitlines()]
+    return [decode_response(line) for line in sock.data.splitlines()]
+
+
+def _serve_cohort_three_rounds():
+    daemon = _in_process_daemon(COHORT, procs=6, seed=42)
+    responses = _run_batches(daemon, [COHORT] * 3)
     assert [r.decision for r in responses] == (
         ["reschedule"] * 4 + ["reuse"] * 8
     )
     assert all(r.batched for r in responses)
-    # the leader's cold reschedule misses and its followers hit the
-    # seeded plan; the reuse rounds look nothing up
+    # the leader's cold reschedule misses and its followers hit its
+    # plan in the cohort's shard; the reuse rounds look nothing up
     cache = daemon.stats()["cache"]
     assert (cache["hits"], cache["misses"]) == (3, 1)
+
+
+def test_cache_stats_count_only_the_ticks_lookups():
+    """The cache statistics are the sessions' own lookups: batching a
+    cohort reads no plan on the side."""
+    _serve_cohort_three_rounds()
+
+
+def test_batching_never_probes_the_planning_problem(monkeypatch):
+    """Grouping reads profiles and clocks only: with the planning probe
+    gone, the cohort still batches and hits the same way."""
+
+    def probe(*_args):
+        raise AssertionError("the daemon built a planning problem")
+
+    monkeypatch.setattr(TenantState, "planning_problem", probe)
+    monkeypatch.setattr(TenantState, "planning_digest", probe)
+    _serve_cohort_three_rounds()
+
+
+def test_a_cohort_shares_one_cache_shard():
+    daemon = _in_process_daemon(COHORT, procs=6, seed=42)
+    daemon._open(OpenRequest(tenant="e", procs=6, seed=43))
+    cohort = daemon.tenants["a"].profile.cohort
+    shard = daemon.cache.shard_for(cohort)
+    assert all(daemon.tenants[t].session.cache is shard for t in COHORT)
+    assert daemon.tenants["e"].profile.cohort != cohort
+
+
+def test_cohort_split_across_batches_shares_its_plan():
+    daemon = _in_process_daemon(COHORT, procs=6, seed=42)
+    responses = _run_batches(daemon, [COHORT[:2], COHORT[2:]])
+    assert [r.decision for r in responses] == ["reschedule"] * 4
+    # the second batch's leader finds the first batch's plan
+    assert [r.cache_hit for r in responses] == [False, True, True, True]
+    assert [r.batched for r in responses] == [True] * 4
+    assert daemon.counters["batched"] == 2
+
+
+@pytest.mark.parametrize("directory", ["static", "drift:ticks=2"])
+def test_batched_counts_followers_answered_from_the_cache(directory):
+    """On a directory that stops changing, the cohort reuses its plan
+    after the cold round: only that round's followers count."""
+    daemon = _in_process_daemon(
+        COHORT, procs=6, seed=42, directory=directory
+    )
+    responses = _run_batches(daemon, [COHORT] * 4)
+    assert all(r.batched for r in responses)
+    assert [r.cache_hit for r in responses] == (
+        [False] + [True] * 3 + [False] * 12
+    )
+    assert daemon.counters["batched"] == 3
+
+
+def test_a_tenants_ticks_keep_their_order_within_a_batch():
+    """A tenant's second advancing request runs unbatched, and so does
+    its zero-``dt`` request after that: each answer is the tick a lone
+    session serves for the same ``dt`` sequence."""
+    daemon = _in_process_daemon(["a"], procs=6, seed=42)
+    sock = _RecordingSocket()
+    conn = _Connection(sock)
+    dts = [1.0, 1.0, 0.0]
+    daemon._run_batch([(conn, ScheduleRequest("a", dt=dt)) for dt in dts])
+    responses = [decode_response(line) for line in sock.data.splitlines()]
+    control = TenantState(TenantProfile(tenant="a", procs=6, seed=42))
+    for response, dt in zip(responses, dts):
+        result = control.session.tick(dt=dt)
+        assert response.tick == result.event.tick
+        assert response.predicted_s == result.event.predicted_makespan
+        assert response.executed_s == result.event.executed_makespan
+
+
+def test_restored_tenant_rejoins_its_cohort_shard(tmp_path):
+    state_file = str(tmp_path / "state.json")
+    daemon = _in_process_daemon(["a"], procs=6, seed=42)
+    _run_batches(daemon, [["a"]])
+    daemon._handle_control(DrainRequest(path=state_file))
+    resumed = SchedulerDaemon(DaemonConfig(resume_from=state_file))
+    resumed._open(OpenRequest(tenant="b", procs=6, seed=42))
+    restored = resumed.tenants["a"]
+    assert restored.restored
+    shard = resumed.cache.shard_for(restored.profile.cohort)
+    assert restored.session.cache is shard
+    assert resumed.tenants["b"].session.cache is shard
 
 
 def test_noisy_tenants_never_batch(tmp_path):
@@ -408,6 +510,32 @@ def test_garbage_frames_get_error_responses(tmp_path):
     assert daemon.counters["protocol_errors"] == len(garbage)
 
 
+def test_bad_dt_is_malformed_and_service_continues(tmp_path):
+    daemon, thread, sock = start_daemon(tmp_path)
+    bad = [
+        b'{"v":1,"type":"schedule","tenant":"a","dt":-1}',
+        b'{"v":1,"type":"schedule","tenant":"a","dt":NaN}',
+    ]
+    try:
+        with DaemonClient(sock) as client:
+            client.open("a", procs=4)
+            client.open("b", procs=4)
+            assert isinstance(client.schedule("a"), ScheduleResponse)
+            clock = daemon.tenants["a"].directory.time
+            for line in bad:
+                response = client.send_raw(line)
+                assert isinstance(response, ErrorResponse), line
+                assert response.code == "malformed", line
+            # the other tenant keeps being served, and the first
+            # tenant's clock never moved
+            assert isinstance(client.schedule("b"), ScheduleResponse)
+            assert daemon.tenants["a"].directory.time == clock
+            assert client.schedule("a").tick == 1
+    finally:
+        stop_daemon(daemon, thread)
+    assert daemon.counters["protocol_errors"] == len(bad)
+
+
 def test_oversized_frame_does_not_kill_daemon(tmp_path):
     daemon, thread, sock = start_daemon(tmp_path)
     from repro.serve.protocol import MAX_FRAME_BYTES
@@ -434,8 +562,6 @@ def test_open_during_drain_rejected_with_retry_after(tmp_path):
     # A tenant opened after the drain snapshot would be silently lost
     # across the restart; the daemon must reject it like any other
     # admission rejection, backoff hint included.
-    from repro.serve.protocol import OpenRequest
-
     state_file = str(tmp_path / "state.json")
     daemon, thread, sock = start_daemon(tmp_path)
     try:

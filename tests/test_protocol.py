@@ -282,6 +282,20 @@ def test_int_promotes_to_float():
     assert request.dt == 2.0 and isinstance(request.dt, float)
 
 
+@pytest.mark.parametrize(
+    "dt", ["-1", "-1e-300", "NaN", "Infinity", "-Infinity"]
+)
+def test_schedule_dt_must_be_finite_and_non_negative(dt):
+    line = f'{{"v":1,"type":"schedule","tenant":"t","dt":{dt}}}'
+    with pytest.raises(ProtocolError) as info:
+        decode_request(line.encode())
+    assert info.value.code == "malformed"
+    assert "dt" in str(info.value)
+    # a zero step stays valid: it re-serves the current clock
+    zero = decode_request(b'{"v":1,"type":"schedule","tenant":"t","dt":0}')
+    assert zero.dt == 0.0
+
+
 def test_string_field_rejects_number():
     with pytest.raises(ProtocolError):
         decode_request(b'{"v":1,"type":"schedule","tenant":17}')

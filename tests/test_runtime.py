@@ -17,6 +17,7 @@ from repro.runtime import (
     decide,
     drift_magnitude,
 )
+from repro.runtime.metrics import RECENT_WINDOW
 from repro.sim.replay import DriftTrace, TraceDirectory, synthetic_drift_trace
 
 
@@ -391,6 +392,38 @@ def test_drift_trace_at_clamps():
     assert trace.duration == pytest.approx(2.0)
 
 
+def _at_by_scan(trace, time):
+    """``DriftTrace.at`` as the linear scan it replaced (the reference)."""
+    index = 0
+    for k, t in enumerate(trace.times):
+        if t <= time:
+            index = k
+        else:
+            break
+    return trace.snapshots[index]
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        (5.0,),
+        (0.0, 1.0, 2.0),
+        (-3.0, 0.0, 1e-9, 0.1, 2.5, 2.5 + 1e-12, 7.0, 1e6),
+    ],
+    ids=["one-knot", "uniform", "non-uniform"],
+)
+def test_drift_trace_at_matches_the_linear_scan(times):
+    snapshots = _scaled_trace([1.0] * len(times)).snapshots
+    trace = DriftTrace(times=times, snapshots=snapshots)
+    grid = [-np.inf, times[0] - 1.0, times[-1] + 1.0, np.inf]
+    for t in times:
+        grid += [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
+    for a, b in zip(times, times[1:]):
+        grid.append((a + b) / 2)
+    for time in grid:
+        assert trace.at(time) is _at_by_scan(trace, time), time
+
+
 def test_trace_directory_advances():
     trace = _scaled_trace([1.0, 2.0])
     directory = TraceDirectory(trace)
@@ -443,6 +476,21 @@ def test_metrics_rates_and_json():
     assert len(dump["events"]) == 3
     assert dump["counters"]["decision.reschedule"] == 2
     assert dump["histograms"]["regret_s"]["count"] == 3
+
+
+def test_metrics_keep_a_bounded_window_of_events():
+    metrics = RuntimeMetrics()
+    total = RECENT_WINDOW + 5
+    for tick in range(total):
+        metrics.record_tick(_event(tick=tick))
+    assert len(metrics.events) == RECENT_WINDOW
+    # the oldest events drop; every tick is still counted
+    assert [e.tick for e in metrics.events] == list(range(5, total))
+    assert metrics.summary()["ticks"] == total
+    dump = metrics.to_json()
+    assert len(dump["events"]) == RECENT_WINDOW
+    assert dump["events"][0]["tick"] == 5
+    assert dump["histograms"]["regret_s"]["count"] == total
 
 
 def test_metrics_chrome_trace_shape():
