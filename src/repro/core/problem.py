@@ -76,6 +76,17 @@ class TotalExchangeProblem:
         return cls(cost=cost, sizes=size_matrix)
 
     @classmethod
+    def _from_checked(cls, cost, sizes=None) -> "TotalExchangeProblem":
+        """Shares ``cost`` (from checked inputs) and ``sizes`` (checked,
+        read-only) uncopied; checks only that the cost is finite."""
+        if not np.isfinite(cost).all():
+            raise ValueError("cost must contain only finite values")
+        cost.flags.writeable = False
+        problem = object.__new__(cls)
+        problem.__dict__.update(cost=cost, sizes=sizes)
+        return problem
+
+    @classmethod
     def from_paper_matrix(cls, paper_c: np.ndarray) -> "TotalExchangeProblem":
         """Build from a matrix in the paper's receiver-major convention."""
         paper_c = check_square_matrix("paper_c", paper_c, nonnegative=True)

@@ -17,6 +17,7 @@ options.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -57,6 +58,10 @@ _LOAD_PROCESSES = {
 
 # Kept as an alias: tests and older call sites import the underscore name.
 _parse_value = parse_value
+
+#: Live drift traces by (options, procs, integer seed): traces are
+#: immutable and each directory has its own clock, so a cohort shares one.
+_DRIFT_TRACES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
 def parse_directory_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
@@ -152,6 +157,8 @@ def make_directory(
     """
     name, options = parse_directory_spec(spec)
     options.update(overrides)
+    # Only an integer seed makes a generated base a function of the call.
+    seed_key = int(rng) if isinstance(rng, (int, np.integer)) else None
     rng = to_rng(rng)
 
     if name == "static":
@@ -229,8 +236,12 @@ def make_directory(
         )
 
     # name == "drift"
-    from repro.sim.replay import TraceDirectory, synthetic_drift_trace
+    from repro.sim import replay
 
+    key = (repr(sorted(options.items())), num_procs, seed_key)
+    trace = _DRIFT_TRACES.get(key) if seed_key is not None else None
+    if trace is not None:
+        return replay.TraceDirectory(trace)
     ticks = _pop(options, "ticks", 64)
     dt = _pop(options, "dt", 1.0)
     sigma = _pop(options, "sigma", 0.02)
@@ -239,7 +250,7 @@ def make_directory(
     seed = _pop(options, "seed", 0)
     base = _base_directory(options, num_procs, rng)
     _reject_unknown(name, options)
-    trace = synthetic_drift_trace(
+    trace = replay.synthetic_drift_trace(
         base.snapshot(),
         ticks=int(ticks),
         dt=float(dt),
@@ -248,4 +259,6 @@ def make_directory(
         burst_every=int(burst_every),
         seed=int(seed),
     )
-    return TraceDirectory(trace)
+    if seed_key is not None:
+        _DRIFT_TRACES[key] = trace
+    return replay.TraceDirectory(trace)

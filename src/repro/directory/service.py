@@ -42,7 +42,7 @@ class DirectorySnapshot:
             )
         if np.any(latency < 0) or np.any(np.isnan(latency)):
             raise ValueError("latencies must be non-negative and not NaN")
-        if np.any(bandwidth <= 0):
+        if not np.all(bandwidth > 0):  # also rejects NaN
             raise ValueError("bandwidths must be positive")
         latency = latency.copy()
         bandwidth = bandwidth.copy()
@@ -50,6 +50,13 @@ class DirectorySnapshot:
         bandwidth.flags.writeable = False
         object.__setattr__(self, "latency", latency)
         object.__setattr__(self, "bandwidth", bandwidth)
+
+    def restamped(self, time: float) -> "DirectorySnapshot":
+        """These checked, read-only matrices at clock ``time``, shared
+        rather than re-checked and copied."""
+        stamped = object.__new__(type(self))
+        stamped.__dict__.update(self.__dict__, time=time)
+        return stamped
 
     @property
     def num_procs(self) -> int:

@@ -30,11 +30,7 @@ class StaticDirectory(DirectoryService):
         return self._time
 
     def snapshot(self) -> DirectorySnapshot:
-        return DirectorySnapshot(
-            latency=self._snapshot.latency,
-            bandwidth=self._snapshot.bandwidth,
-            time=self._time,
-        )
+        return self._snapshot.restamped(self._time)
 
     def advance(self, dt: float) -> None:
         if dt < 0:

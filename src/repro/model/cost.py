@@ -41,7 +41,14 @@ def cost_matrix(
         )
     if np.any(size_matrix < 0):
         raise ValueError("message sizes must be non-negative")
+    return unchecked_cost_matrix(snapshot, size_matrix)
 
+
+def unchecked_cost_matrix(
+    snapshot: DirectorySnapshot, size_matrix: np.ndarray
+) -> np.ndarray:
+    """:func:`cost_matrix`'s arithmetic alone, for a float size matrix
+    already checked against ``snapshot``; returns a fresh array."""
     with np.errstate(invalid="ignore"):
         cost = snapshot.latency + size_matrix / snapshot.bandwidth
     cost = np.where(size_matrix == 0, 0.0, cost)

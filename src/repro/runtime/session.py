@@ -48,6 +48,7 @@ from repro.faults.models import (
     apply_fault_to_state,
 )
 from repro.faults.repair import repair_schedule, split_routes
+from repro.model.cost import unchecked_cost_matrix
 from repro.model.messages import SizeSpec
 from repro.perf.memo import ScheduleCache
 from repro.ops.sink import MetricsSink, MultiSink
@@ -67,6 +68,7 @@ from repro.runtime.policy import (
 from repro.sim.engine import SendOrders, execute_orders, execute_orders_on_cost
 from repro.timing.events import Schedule
 from repro.util.rng import RngLike
+from repro.util.validation import check_square_matrix
 
 
 @dataclass
@@ -178,9 +180,15 @@ class AdaptiveSession:
         rng: RngLike = None,
     ):
         self._directory = directory
+        n = directory.num_procs
         if isinstance(sizes, SizeSpec):
-            sizes = sizes.sizes(directory.num_procs, rng=rng)
-        self._sizes = np.asarray(sizes, dtype=float)
+            sizes = sizes.sizes(n, rng=rng)
+        # Checked once here; every tick then trusts this private copy.
+        sizes = check_square_matrix("sizes", sizes, nonnegative=True)
+        if sizes.shape != (n, n):
+            raise ValueError(f"sizes must be {n}x{n}, got {sizes.shape}")
+        self._sizes = sizes.copy()
+        self._sizes.flags.writeable = False
         if isinstance(scheduler, str):
             self._scheduler_name = scheduler
             self._scheduler = make_scheduler(scheduler)
@@ -216,7 +224,6 @@ class AdaptiveSession:
         # DirectoryService composes.
         self._fault_view_fn = getattr(directory, "fault_view", None)
         self._striking_fn = getattr(directory, "striking_between", None)
-        n = directory.num_procs
         # Links the session gave up on after exhausting transient
         # retries; overrides profile recovery (a declared-dead link
         # stays routed-around even if it silently comes back).
@@ -246,7 +253,9 @@ class AdaptiveSession:
     def _planning_problem(
         self, snapshot: DirectorySnapshot, sizes: np.ndarray
     ) -> TotalExchangeProblem:
-        return TotalExchangeProblem.from_snapshot(snapshot, sizes)
+        return TotalExchangeProblem._from_checked(
+            unchecked_cost_matrix(snapshot, sizes), sizes
+        )
 
     def _true_snapshot(
         self, planning_snapshot: DirectorySnapshot
@@ -268,7 +277,7 @@ class AdaptiveSession:
         true_snapshot = getattr(self._directory, "true_snapshot", None)
         if true_snapshot is None:
             return planning
-        return TotalExchangeProblem.from_snapshot(true_snapshot(), sizes)
+        return self._planning_problem(true_snapshot(), sizes)
 
     # -- scheduling with deadline + fallback --------------------------------
 
@@ -420,8 +429,8 @@ class AdaptiveSession:
             result = refine_orders(
                 self._plan.orders,
                 planning,
-                old_problem=TotalExchangeProblem(
-                    cost=self._plan.basis_cost
+                old_problem=TotalExchangeProblem._from_checked(
+                    self._plan.basis_cost
                 ),
                 max_passes=self.policy.refine_passes,
                 evaluation="delta",
@@ -704,29 +713,25 @@ class AdaptiveSession:
         self._last_fault_scan = now
         faults_seen = self._count_new_faults(now, strikes)
 
-        n = self._sizes.shape[0]
-        if view is not None:
-            alive = view.alive
-            link_ok = view.link_ok & ~self._declared_dead
-        else:
-            alive = np.ones(n, dtype=bool)
-            link_ok = np.ones((n, n), dtype=bool)
-
-        demand = self._sizes > 0
-        np.fill_diagonal(demand, False)
-        blocked = demand & ~link_ok
-        surviving_blocked = blocked & np.outer(alive, alive)
-        degraded = bool(blocked.any() or not alive.all())
-
         sizes = self._sizes
         mask = None
-        if degraded:
-            mask = link_ok
-            if not alive.all():
-                # Dead endpoints leave the demand matrix entirely.
-                sizes = np.where(np.outer(alive, alive), self._sizes, 0.0)
+        degraded = relay = False
+        if view is not None:  # without a fault view every link is up
+            alive = view.alive
+            link_ok = view.link_ok & ~self._declared_dead
+            demand = sizes > 0
+            np.fill_diagonal(demand, False)
+            blocked = demand & ~link_ok
+            relay = bool((blocked & np.outer(alive, alive)).any())
+            degraded = bool(blocked.any() or not alive.all())
+            if degraded:
+                mask = link_ok
+                if not alive.all():
+                    # Dead endpoints leave the demand matrix entirely.
+                    sizes = np.where(np.outer(alive, alive), sizes, 0.0)
+                    sizes.flags.writeable = False
 
-        if surviving_blocked.any():
+        if relay:
             state = self._serve_degraded_relay(snapshot, sizes, alive, link_ok)
         else:
             state = self._serve_planned(snapshot, sizes, mask)
@@ -741,6 +746,9 @@ class AdaptiveSession:
         executed = state.executed
         reason = state.reason
         if strikes:
+            if view is None:  # the masks the fault-free path skipped
+                n = sizes.shape[0]
+                alive, link_ok = np.ones(n, bool), np.ones((n, n), bool)
             outcome = self._recover_from_strike(
                 strikes[0], state, snapshot, sizes, alive, link_ok
             )

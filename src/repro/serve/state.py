@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.io.serialize import schedule_from_dict, schedule_to_dict
 from repro.runtime.session import AdaptiveSession, _Plan
+from repro.util.validation import check_square_matrix
 
 #: Format tag written into every state payload.
 STATE_FORMAT = "repro/session-state"
@@ -56,18 +57,44 @@ def _plan_state(plan: Optional[_Plan]) -> Optional[Dict[str, Any]]:
     }
 
 
-def _plan_from_state(state: Optional[Dict[str, Any]]) -> Optional[_Plan]:
+def _plan_from_state(
+    state: Optional[Dict[str, Any]], session: AdaptiveSession
+) -> Optional[_Plan]:
+    """The stored plan, checked as input from outside the process: the
+    session's ticks trust a plan's basis, orders and schedule."""
     if state is None:
         return None
+    n = session._sizes.shape[0]
+    basis = check_square_matrix("basis", state["basis_cost"], nonnegative=True)
+    basis.flags.writeable = False
+    predicted = float(state["predicted_makespan"])
+    orders = [list(map(int, order)) for order in state["orders"]]
+    schedule = state.get("schedule")
+    schedule = None if schedule is None else schedule_from_dict(schedule)
+    # Reuse ticks execute the orders and repair ticks patch the schedule,
+    # so sender by sender both dispatch the same events (a splitting
+    # scheduler repeats a pair; a degraded tick may leave one out).
+    if (
+        basis.shape != (n, n)
+        or not 0 <= predicted < float("inf")
+        or len(orders) != n
+        or not all(0 <= dst < n for order in orders for dst in order)
+        or schedule is not None and (
+            schedule.num_procs != n
+            or [sorted(order) for order in orders]
+            != [sorted(order) for order in schedule.send_orders()]
+        )
+    ):
+        raise ValueError(
+            f"not a plan over {n} processors: it needs a {n}x{n} basis, a "
+            f"finite predicted makespan >= 0 and send orders over [0, {n}) "
+            "that dispatch its schedule's events"
+        )
     return _Plan(
-        orders=[list(map(int, order)) for order in state["orders"]],
-        basis_cost=np.asarray(state["basis_cost"], dtype=float),
-        predicted_makespan=float(state["predicted_makespan"]),
-        schedule=(
-            schedule_from_dict(state["schedule"])
-            if state.get("schedule") is not None
-            else None
-        ),
+        orders=orders,
+        basis_cost=basis,
+        predicted_makespan=predicted,
+        schedule=schedule,
     )
 
 
@@ -144,7 +171,7 @@ def restore_session_state(
     session._tick_index = int(state["tick_index"])
     session._reuse_streak = int(state["reuse_streak"])
     session._ticks_since_reschedule = int(state["ticks_since_reschedule"])
-    session._plan = _plan_from_state(state.get("plan"))
+    session._plan = _plan_from_state(state.get("plan"), session)
     declared = np.asarray(state["declared_dead"], dtype=bool)
     if declared.shape != session._declared_dead.shape:
         raise ValueError(

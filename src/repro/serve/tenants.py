@@ -193,18 +193,11 @@ class TenantState:
         )
         self.requests_served = 0
         self.restored = False
+        # One cohort at one clock plans one problem unless the directory
+        # redraws per query (``noisy``/``perturb``); parsed once, here.
+        self.batchable = profile.directory_flavour in RESUMABLE_FLAVOURS
 
     # -- cross-tenant batching ----------------------------------------------
-
-    @property
-    def batchable(self) -> bool:
-        """Whether one cohort at one clock plans one problem.
-
-        Deterministic directories answer ``snapshot()`` as a pure
-        function of time; RNG-backed flavours (``noisy``/``perturb``)
-        redraw per query, so their tenants never group.
-        """
-        return self.profile.directory_flavour in RESUMABLE_FLAVOURS
 
     def planning_problem(self) -> TotalExchangeProblem:
         """The instance a tick at the directory's current clock plans

@@ -123,6 +123,11 @@ def execute_orders_on_cost(
     and are placed in one vectorized pass afterwards.
     """
     cost = check_square_matrix("cost", cost, nonnegative=True)
+    return _execute_orders(cost, orders, sizes, validate)
+
+
+def _execute_orders(cost, orders, sizes, validate) -> Schedule:
+    """:func:`execute_orders_on_cost` on a cost matrix already checked."""
     if validate:
         check_orders(orders, cost, require_coverage=False)
     n = cost.shape[0]
@@ -194,10 +199,8 @@ def execute_orders(
     *,
     validate: bool = True,
 ) -> Schedule:
-    """Execute ``orders`` under a problem's cost matrix."""
-    return execute_orders_on_cost(
-        problem.cost, orders, sizes=problem.sizes, validate=validate
-    )
+    """Execute ``orders`` under a problem's (already checked) cost."""
+    return _execute_orders(problem.cost, orders, problem.sizes, validate)
 
 
 #: A communication step: the (src, dst) events of one round.  Complete

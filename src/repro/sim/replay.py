@@ -286,12 +286,7 @@ class TraceDirectory(DirectoryService):
         return self._time
 
     def snapshot(self) -> DirectorySnapshot:
-        current = self._trace.at(self._time)
-        return DirectorySnapshot(
-            latency=current.latency,
-            bandwidth=current.bandwidth,
-            time=self._time,
-        )
+        return self._trace.at(self._time).restamped(self._time)
 
     def advance(self, dt: float) -> None:
         if dt < 0:

@@ -10,8 +10,14 @@ protocol through :class:`DaemonClient`; the cohort-batching tests feed
 import json
 import threading
 
+import numpy as np
 import pytest
 
+from repro.directory.static import StaticDirectory
+from repro.faults.directory import FaultyDirectory
+from repro.faults.models import LINK_DEAD, Fault, FaultProfile
+from repro.network.generators import random_pairwise_parameters
+from repro.runtime import AdaptiveSession
 from repro.serve import (
     DaemonClient,
     DaemonConfig,
@@ -28,6 +34,7 @@ from repro.serve.protocol import (
     decode_response,
     encode_message,
 )
+from repro.serve.state import restore_session_state, session_state
 from repro.serve.tenants import TenantProfile, TenantState
 from repro.timing.validate import check_schedule
 
@@ -327,6 +334,25 @@ def test_batching_never_probes_the_planning_problem(monkeypatch):
     _serve_cohort_three_rounds()
 
 
+def test_batching_parses_no_directory_spec(monkeypatch):
+    """A tenant's directory flavour is parsed once, at open: a batch
+    groups and serves its cohort without re-parsing any spec."""
+    reference = _run_batches(
+        _in_process_daemon(COHORT, procs=6, seed=42), [COHORT] * 3
+    )
+    daemon = _in_process_daemon(COHORT, procs=6, seed=42)
+
+    def parse(*_args, **_kwargs):
+        raise AssertionError("a batch parsed a directory spec")
+
+    monkeypatch.setattr("repro.serve.tenants.parse_spec", parse)
+    served = _run_batches(daemon, [COHORT] * 3)
+    assert all(r.batched for r in served)
+    assert [(r.decision, r.executed_s) for r in served] == [
+        (r.decision, r.executed_s) for r in reference
+    ]
+
+
 def test_a_cohort_shares_one_cache_shard():
     daemon = _in_process_daemon(COHORT, procs=6, seed=42)
     daemon._open(OpenRequest(tenant="e", procs=6, seed=43))
@@ -462,6 +488,119 @@ def test_resume_rejects_foreign_state_file(tmp_path):
                 socket_path=str(tmp_path / "d.sock"),
                 resume_from=str(bogus),
             )
+        )
+
+
+def _state_file(tmp_path, corrupt=None):
+    """A daemon state file for one P=8 tenant served three ticks, with
+    ``corrupt(plan)`` applied to its stored plan."""
+    daemon = _in_process_daemon(["a"], procs=8, seed=5)
+    _run_batches(daemon, [["a"]] * 3)
+    payload = daemon.state_payload()
+    if corrupt is not None:
+        corrupt(payload["tenants"][0]["session"]["plan"])
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _point_past_the_last_processor(plan):
+    plan["orders"][0][0] = 99
+
+
+def _duplicate_a_destination(plan):
+    plan["orders"][0][1] = plan["orders"][0][0]
+
+
+def _empty_a_sender(plan):
+    plan["orders"][0] = []
+
+
+def _shrink_the_basis(plan):
+    plan["basis_cost"] = [row[:2] for row in plan["basis_cost"][:2]]
+
+
+def _negate_the_prediction(plan):
+    plan["predicted_makespan"] = -1.0
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _point_past_the_last_processor,
+        _duplicate_a_destination,
+        _empty_a_sender,
+        _shrink_the_basis,
+        _negate_the_prediction,
+    ],
+    ids=[
+        "destination-out-of-range",
+        "duplicate-destination",
+        "empty-sender",
+        "basis-2x2",
+        "negative-prediction",
+    ],
+)
+def test_resume_rejects_a_malformed_plan(tmp_path, corrupt):
+    """A state file is input from outside the process: a plan the
+    session could not serve is refused at resume, not on every tick."""
+    with pytest.raises(ValueError, match="not a plan over 8 processors"):
+        SchedulerDaemon(
+            DaemonConfig(resume_from=_state_file(tmp_path, corrupt))
+        )
+
+
+def test_resume_freezes_a_checked_plan(tmp_path):
+    resumed = SchedulerDaemon(DaemonConfig(resume_from=_state_file(tmp_path)))
+    plan = resumed.tenants["a"].session._plan
+    assert plan is not None
+    assert not plan.basis_cost.flags.writeable
+
+
+def _repeats_a_pair(orders):
+    return any(len(set(order)) < len(order) for order in orders)
+
+
+def _omits_node_0(orders):
+    return orders[0] == [] and all(0 not in order for order in orders)
+
+
+@pytest.mark.parametrize(
+    "scheduler, isolate, shape",
+    [
+        ("preemptive", False, _repeats_a_pair),
+        ("openshop_partitioned", True, _omits_node_0),
+    ],
+    ids=["repeats-a-pair", "omits-unreachable-pairs"],
+)
+def test_restore_keeps_a_plan_that_repeats_or_omits_a_pair(
+    scheduler, isolate, shape
+):
+    """A splitting scheduler's plan repeats a pair, and a degraded tick's
+    plan may leave unreachable pairs out (here every link of node 0 is
+    dead).  Neither is one event per pair, yet each is what the session
+    served: restore takes it, and the restored session ticks on alike."""
+    latency, bandwidth = random_pairwise_parameters(6, rng=0)
+    sizes = np.full((6, 6), 1000.0)
+    np.fill_diagonal(sizes, 0.0)
+    faults = tuple(
+        Fault(kind=LINK_DEAD, at=0.0, src=0, dst=dst) for dst in range(1, 6)
+    ) if isolate else ()
+
+    def session():
+        directory = FaultyDirectory(
+            StaticDirectory(latency, bandwidth), FaultProfile(faults=faults)
+        )
+        return AdaptiveSession(directory, sizes, scheduler=scheduler)
+
+    served = session()
+    assert served.tick().event.degraded == isolate
+    assert shape(served._plan.orders)
+    restored = restore_session_state(session(), session_state(served))
+    for _ in range(3):
+        expected, got = served.tick(dt=1.0).event, restored.tick(dt=1.0).event
+        assert (got.decision, got.executed_makespan) == (
+            expected.decision, expected.executed_makespan
         )
 
 

@@ -58,6 +58,17 @@ class TestDirectorySnapshot:
         with pytest.raises(ValueError):
             DirectorySnapshot(latency=latency, bandwidth=bandwidth)
 
+    def test_rejects_nan_bandwidth_keeps_infinite_diagonal(self):
+        latency = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="bandwidths must be positive"):
+            DirectorySnapshot(
+                latency=latency, bandwidth=[[np.inf, np.nan], [1e6, np.inf]]
+            )
+        snap = DirectorySnapshot(
+            latency=latency, bandwidth=[[np.inf, 1e6], [1e6, np.inf]]
+        )
+        assert np.isinf(np.diagonal(snap.bandwidth)).all()
+
     def test_rejects_negative_latency(self):
         latency, bandwidth = snap_matrices()
         latency[0, 1] = -1.0
