@@ -1,63 +1,69 @@
-"""Delta-rescheduling: repair an existing plan instead of rebuilding it.
+"""Strict re-timing: serve an existing plan under new costs.
 
 A drift tick that crosses the refine threshold used to trigger a full
 reschedule — ~5 s of flat open-shop list scheduling at P = 1024 — even
-when only a handful of links were repriced.  This module generalises the
-fault layer's residual-reschedule machinery (:mod:`repro.faults.repair`,
-"these links died") to the far more common serving case of "these links
-were repriced": diff the old and new cost matrices into dirty pairs and
-splice the incumbent plan instead of rebuilding it.
+when only a handful of links were repriced.  This module keeps the
+incumbent plan instead and *re-times* it: every send and receive port
+keeps the sequence the plan gave it, and every start is recomputed in
+one earliest-start pass over the plan's events in ``(start, src, dst)``
+order (``start = max(send port free, receive port free)``).  That is
+the strict discipline of the paper's timing diagrams, and the one pass
+serves every caller: the repair tier, the strict candidate the session
+serves on every tick, and :func:`repro.sim.replay.replay_schedule`.  A
+re-time never starts an event later than the plan did under its own
+costs.  Zero drift returns the plan object itself (re-time == reuse).
 
-The repair has two regimes, picked by what the reprice did to the
-event durations:
+The structure a pass needs is built once per plan and memoised on the
+(frozen) schedule.  Two passes run over it and agree bit for bit:
 
-* **nothing grew** (every ``new <= old`` duration) — every event keeps
-  its old start with its new duration.  Each new window is a subset of
-  its old window, and old windows were mutually disjoint per port, so
-  no conflict can appear.  Pairs repriced to zero become the usual
-  zero-duration markers at their old start.
-* **something grew** (any ``new > old``) — a grown event no longer fits
-  its old window, and in a tightly packed plan no *other* vacated
-  window fits it either (every freed slot holds exactly an old
-  duration), so repairing around frozen start times would cascade the
-  grown rows to the tail of the plan.  Instead the repair freezes each
-  port's *availability profile in order form*: every send and receive
-  port keeps the exact sequence the incumbent plan proved feasible, and
-  start times are recomputed in one earliest-start pass over the events
-  in old ``(start, src, dst)`` order (``start = max(send avail, recv
-  avail)``); ties at one start are broken by the pair, never by how the
-  plan's columns happen to be stored.  Events ahead of every cascade
-  keep their old start bit-for-bit; events behind a grown one slide by
-  the accumulated growth excess — the plan shifts locally instead of
-  re-packing globally.  Zero-duration markers never occupy a port, so
-  they keep their old starts, and appeared pairs (a self-message on a
-  node that previously had none) are appended after the ordered
-  events.
+* the plain-Python sequential pass over the 2n port clocks — for plans
+  of at most :data:`SEQUENTIAL_MAX_EVENTS` positive events, and for a
+  larger plan's first re-time (many plans are never re-timed twice);
+* the level pass — a larger plan's second re-time finds each event's
+  dependency *level* (the longest predecessor chain behind it) and
+  stores the plan in level order with each event's predecessors on its
+  two ports (int32).  All events of one level touch distinct ports, so
+  a level is one vectorized gather/max over its predecessors' finishes.
 
-The first splice of a plan computes, in the same sequential pass as the
-start times, each event's dependency *level* (the longest predecessor
-chain through the two port sequences behind it) and leaves the levels
-on the repaired schedule as a pair-keyed matrix.  Splices preserve
-per-port order, so the levels stay a valid wave partition for every
-later repair of the lineage: all events of one level touch distinct
-ports, and the recompute collapses to one vectorized gather/max/scatter
-against the 2n port clocks per level — ~P events per numpy call, the
-steady-state cost the drift bench measures.  The repaired
-makespan stays within a few percent of a from-scratch reschedule at the
-dirty fractions the policy routes here (see
-``PolicyConfig.repair_max_dirty_fraction``) because the incumbent
-ordering is near-optimal for the mildly repriced costs.  Zero drift
-returns the old schedule *object* — repair is then bit-identical to
-reuse.
+**FIFO's answer.**  The pass also reports whether its schedule is
+exactly what the FIFO executor (:func:`repro.sim.engine.execute_orders`)
+makes of the plan's send orders: that holds when every receiver's
+sequence is strictly increasing in ``(request time, src)``, an event's
+request time being the finish of its sender's previous positive event
+(0 for the first).  The executor pops requests globally in that order
+and every chain event finishes after its request, so its schedule is
+the only one in which each receiver serves in that order; a re-time
+that already has it computes the same ``max(request, receiver free)``
+starts and ``start + duration`` finishes with the same float
+operations.  The caller then needs no executor run.
+
+Zero-cost markers occupy no port; they sit at their sender's clock (the
+finish of its previous positive event in the plan's order, or 0), where
+the executor puts them.  A marker tied in start with that event may
+stand on either side of it in the plan's send orders, so such a plan
+claims no FIFO answer.  Splitting schedulers (``preemptive``,
+``openshop_partitioned``) send a pair in pieces: an event whose duration
+is its pair's basis cost takes the new cost exactly, a piece takes its
+duration times new over basis cost, and the plan is flagged ``split``
+(the executor would charge each piece its pair's whole cost).
+
+A re-time that is not FIFO's answer is checked inline in O(E): every
+time finite and every event starting no earlier than the finish of its
+predecessor on both of its ports.  The sequential pass starts each
+event at the later of its two port clocks, so it only has to check the
+times are finite.  The event set is the plan's, so the check is
+complete; ``validate=True`` adds the full
+:func:`~repro.timing.validate.check_schedule`.
 
 Hierarchical plans are repaired at block granularity by
 :meth:`repro.core.hierarchical.HierarchicalScheduler.delta_repair`;
 :func:`repair_plan` dispatches to it when the scheduler offers the hook
-and falls back to the flat event-level repair here.
+and falls back to the flat re-timer here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,122 +75,235 @@ from repro.timing.events import (
     event_order,
     schedule_from_unsorted_columns,
 )
-# imported under its alias so the inline check stays replaceable as
+# imported under its alias so the full check stays replaceable as
 # ``repro.adaptive.delta.check_schedule_fast`` (see the alias's comment)
-from repro.timing.validate import check_schedule_fast
+from repro.timing.validate import ScheduleError, check_schedule_fast
+
+#: Plans with at most this many positive events re-time in the
+#: sequential pass; larger ones in the level pass from their second
+#: re-time on.  Measured on a 2-core x86-64 VM (docs/performance.md):
+#: the sequential pass costs ~0.35 µs per event, the level pass ~2.7 µs
+#: per level, so the level pass wins above ~8 events per level — from
+#: P≈64 on the clustered platforms and from P≈128 on the random ones.
+SEQUENTIAL_MAX_EVENTS = 8192
+
+# Instance-dict key of a plan's memoised :class:`_Structure`.
+_STRUCTURE_ATTR = "_retime"
 
 
-# Attribute under which a repaired schedule carries its pair-keyed
-# level matrix for the next repair in the lineage (see module docstring).
-_LEVELS_ATTR = "_delta_levels"
+class _Structure:
+    """What re-timing one plan needs (module docstring).
 
-# Memoised on the (frozen) incumbent: the level order only changes
-# when the event set does, so a plan repaired on every serving tick
-# pays the argsort once.
-_LEVEL_ORDER_ATTR = "_delta_level_order"
-_HAS_EVENT_ATTR = "_delta_has_event"
-
-
-def _compute_levels_and_starts(
-    n: int,
-    srcs: np.ndarray,
-    dsts: np.ndarray,
-    durs: np.ndarray,
-) -> tuple:
-    """One sequential pass: earliest starts and DAG depth per event.
-
-    Events are processed front to back in the given per-port order;
-    each starts as soon as both its send and receive port are free, and
-    its *level* is the longest predecessor chain behind it (one more
-    than the deepest of its two port predecessors).  Levels are what
-    make the next repair in the lineage cheap — see
-    :func:`_execute_by_levels`.
+    ``cols`` holds the plan's events as column indices: its ``m``
+    positive events in ``(start, src, dst)`` order (level order once
+    ``bounds``, the level boundaries, is known), then its markers.
+    ``marker_pred``, ``send_pred`` and ``recv_pred`` index ``cols``
+    (-1: none).  A small plan keeps its ``ports`` (see :func:`_ports`):
+    numpy's per-call overhead, not the pass, dominates a small re-time.
     """
-    send_level = [0] * n
-    recv_level = [0] * n
-    send_avail = [0.0] * n
-    recv_avail = [0.0] * n
-    levels = []
+
+    __slots__ = (
+        "cols", "m", "live_bytes", "marker_pred", "tied", "split",
+        "has_event", "retimed", "send_pred", "recv_pred", "bounds",
+        "ports",
+    )
+
+    def __init__(self, n, starts, srcs, dsts, live, perm):
+        total = srcs.shape[0]
+        index = np.intp if total <= SEQUENTIAL_MAX_EVENTS else np.int32
+        order = np.arange(total) if perm is None else perm
+        ranked = live[order]
+        self.m = m = int(np.count_nonzero(ranked))
+        self.live_bytes = b"\x01" * m + b"\x00" * (total - m)
+        counts = np.bincount(srcs * n + dsts, minlength=n * n)
+        self.has_event = counts > 0
+        self.split = bool(total and counts.max() > 1)
+        positive, markers = order[ranked], order[~ranked]
+        self.cols = np.concatenate([positive, markers]).astype(index)
+        self.marker_pred = np.full(markers.size, -1, dtype=index)
+        self.tied = False
+        if markers.size:
+            # a marker's sender predecessor: one search over the
+            # positive events keyed by (src, rank)
+            psrc, rank = srcs[positive], np.flatnonzero(ranked)
+            by_src = _stable_order(psrc)
+            keys = psrc[by_src] * total + rank[by_src]
+            hit = np.searchsorted(
+                keys, srcs[markers] * total + np.flatnonzero(~ranked)
+            ) - 1
+            found = hit >= 0
+            found[found] = psrc[by_src[hit[found]]] == srcs[markers[found]]
+            self.marker_pred[found] = by_src[hit[found]]
+            self.tied = bool(np.any(
+                starts[markers[found]]
+                == starts[positive[self.marker_pred[found]]]
+            ))
+        self.retimed = False  # levels wait for the second re-time
+        self.send_pred = self.recv_pred = self.bounds = self.ports = None
+        if index is np.intp:
+            self.ports = _ports(n, self, starts, srcs, dsts, lists=True)
+
+    def preds(self, srcs, dsts):
+        """Each positive event's predecessors on its two ports."""
+        if self.send_pred is None:
+            positive = self.cols[:self.m]
+            dtype = self.cols.dtype
+            self.send_pred = _port_pred(srcs[positive]).astype(dtype)
+            self.recv_pred = _port_pred(dsts[positive]).astype(dtype)
+        return self.send_pred, self.recv_pred
+
+    def by_levels(self, n, srcs, dsts) -> None:
+        """Put the positive events in level order."""
+        send_pred, recv_pred = self.preds(srcs, dsts)
+        positive = self.cols[:self.m]
+        send = [0] * n
+        recv = [0] * n
+        levels = []
+        for i, j in zip(srcs[positive].tolist(), dsts[positive].tolist()):
+            a = send[i]
+            b = recv[j]
+            send[i] = recv[j] = level = (a if a > b else b) + 1
+            levels.append(level)
+        levels = np.asarray(levels)
+        perm = _stable_order(levels)
+        rank = np.empty(self.m + 1, dtype=self.cols.dtype)
+        rank[perm] = np.arange(self.m)
+        rank[-1] = -1  # "no predecessor" stays -1
+        self.cols[:self.m] = positive[perm]
+        self.send_pred = rank[send_pred][perm]
+        self.recv_pred = rank[recv_pred][perm]
+        self.marker_pred = rank[self.marker_pred]
+        ranked = levels[perm]
+        self.bounds = np.flatnonzero(
+            np.concatenate(([True], ranked[1:] != ranked[:-1], [True]))
+        )
+
+
+def _ports(n, st, starts, srcs, dsts, lists=False):
+    """The senders, receivers, flat pair indices and starts of
+    ``st.cols``, then (with ``lists``) its positive senders and
+    receivers as lists, for the sequential pass."""
+    ev_srcs, ev_dsts = srcs[st.cols], dsts[st.cols]
+    return (
+        ev_srcs, ev_dsts, ev_srcs * n + ev_dsts, starts[st.cols],
+        ev_srcs[:st.m].tolist() if lists else None,
+        ev_dsts[:st.m].tolist() if lists else None,
+    )
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """A stable argsort; keys that fit 16 bits take numpy's radix sort."""
+    if keys.size and keys.max() < 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+def _port_pred(ports: np.ndarray) -> np.ndarray:
+    """Each event's predecessor on its port (-1: none), in event order."""
+    pred = np.full(ports.shape[0], -1, dtype=np.intp)
+    by_port = _stable_order(ports)
+    same = ports[by_port[1:]] == ports[by_port[:-1]]
+    pred[by_port[1:][same]] = by_port[:-1][same]
+    return pred
+
+
+def _sequential(n, srcs, dsts, durs):
+    """Earliest starts in one pass over the port clocks.
+
+    Returns ``(starts, fifo, finite)``: whether every receiver's
+    sequence is strictly increasing in ``(request time, src)``, and
+    whether every finish is finite (the costs are, so only an overflow
+    can make one infinite, and then the latest finish is).
+    """
+    send = [0.0] * n
+    recv = [0.0] * n
+    # the (request time, src) each receiver served last
+    last_request = [-1.0] * n
+    last_src = [-1] * n
     starts = []
-    for i, j, d in zip(srcs.tolist(), dsts.tolist(), durs.tolist()):
-        li = send_level[i]
-        lj = recv_level[j]
-        level = li if li > lj else lj
-        a = send_avail[i]
-        b = recv_avail[j]
+    append = starts.append
+    fifo = True
+    latest = 0.0
+    for i, j, d in zip(srcs, dsts, durs):
+        a = send[i]
+        b = recv[j]
         t = a if a > b else b
-        levels.append(level)
-        starts.append(t)
-        f = t + d
-        send_avail[i] = f
-        recv_avail[j] = f
-        level += 1
-        send_level[i] = level
-        recv_level[j] = level
-    return np.asarray(starts), np.asarray(levels, dtype=np.int64)
+        append(t)
+        send[i] = recv[j] = f = t + d
+        if f > latest:
+            latest = f
+        r = last_request[j]
+        if a < r or (a == r and i <= last_src[j]):
+            fifo = False
+        last_request[j] = a
+        last_src[j] = i
+    return np.asarray(starts, dtype=float), fifo, math.isfinite(latest)
 
 
-def _execute_by_levels(
-    n: int,
-    srcs: np.ndarray,
-    dsts: np.ndarray,
-    durs: np.ndarray,
-    levels: np.ndarray,
-    order: np.ndarray = None,
-) -> np.ndarray:
-    """Earliest start times, one vectorized step per dependency level.
+def _level_pass(send_pred, recv_pred, durs, bounds) -> np.ndarray:
+    """Earliest starts, one vectorized step per dependency level."""
+    finish = np.zeros(durs.shape[0] + 1)  # finish[-1]: "no predecessor"
+    starts = np.empty(durs.shape[0])
+    # one cast here, not one per level and gather
+    send_pred = send_pred.astype(np.intp)
+    recv_pred = recv_pred.astype(np.intp)
+    bounds = bounds.tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        t = np.maximum(finish[send_pred[lo:hi]], finish[recv_pred[lo:hi]])
+        starts[lo:hi] = t
+        np.add(t, durs[lo:hi], out=finish[lo:hi])
+    return starts
 
-    ``levels`` must be strictly increasing along every send and receive
-    port's event sequence (the DAG-depth property of
-    :func:`_compute_levels_and_starts`, which repairs preserve).  All
-    events of one level then touch distinct ports, so the whole level
-    is one gather/max/scatter against the 2n port clocks — ~P events
-    per numpy call instead of a per-event Python step.  ``order``, when
-    given, must be a stable argsort of ``levels`` (callers repairing
-    the same plan every tick memoise it).
-    """
-    total = srcs.shape[0]
-    if order is None:
-        order = np.argsort(levels, kind="stable")
-    s = srcs[order]
-    r = dsts[order] + n
-    d = durs[order]
-    ranked = levels[order]
-    bounds = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    bounds = np.append(bounds, total)
-    avail = np.zeros(2 * n)
-    out = np.empty(total)
-    for k in range(bounds.shape[0] - 1):
-        sl = slice(bounds[k], bounds[k + 1])
-        t = np.maximum(avail[s[sl]], avail[r[sl]])
-        out[sl] = t
-        finish = t + d[sl]
-        avail[s[sl]] = finish
-        avail[r[sl]] = finish
-    result = np.empty(total)
-    result[order] = out
-    return result
+
+def _finish(starts, durs) -> np.ndarray:
+    """Finish times, plus a trailing 0 that predecessor index -1 reads."""
+    finish = np.empty(starts.shape[0] + 1)
+    np.add(starts, durs, out=finish[:-1])
+    finish[-1] = 0.0
+    return finish
+
+
+def _checked(starts, finish, send_pred, recv_pred, srcs, claim) -> bool:
+    """The O(E) check of a strict schedule, then its FIFO test."""
+    ready = np.maximum(finish[send_pred], finish[recv_pred])
+    if not (np.isfinite(finish).all() and (starts >= ready).all()):
+        raise ScheduleError(
+            "re-timed schedule invalid: an event is non-finite or "
+            "overlaps a port predecessor"
+        )
+    if not (claim and ready.tobytes() == starts.tobytes()):
+        return False  # not tight: not the executor's schedule
+    request = finish[send_pred]
+    has = recv_pred >= 0
+    prev = recv_pred[has]
+    r, q = request[has], request[prev]
+    return bool(((r > q) | ((r == q) & (srcs[has] > srcs[prev]))).all())
 
 
 @dataclass(frozen=True)
 class DeltaRepairResult:
-    """Outcome of one delta repair.
+    """Outcome of one re-time (a delta repair).
 
     Attributes
     ----------
     schedule:
-        The repaired schedule, valid for the new costs.
+        The re-timed schedule, valid for the new costs.
     dirty_pairs:
         Pairs whose cost changed at all between basis and new matrix.
     reinserted:
-        Events the splice actually moved to a new start time (plus
-        appeared self-messages); zero when every event kept its slot.
+        Events the re-time moved to a new start time (plus appeared
+        self-messages); zero when every event kept its slot.
     frozen:
-        Events kept at their old start (clean, shrunk, and every event
-        ahead of the cascades).
+        Events kept at their old start.
     identical:
         True when the costs did not move at all and ``schedule`` *is*
         the old schedule object (repair == reuse, bit-identically).
+    fifo:
+        True when ``schedule`` is, bit for bit, what the FIFO executor
+        makes of the plan's send orders under the new costs.
+    split:
+        True when the plan repeats a pair: the FIFO executor offers no
+        candidate for it.
     """
 
     schedule: Schedule
@@ -192,6 +311,8 @@ class DeltaRepairResult:
     reinserted: int
     frozen: int
     identical: bool = False
+    fifo: bool = False
+    split: bool = False
 
     @property
     def completion_time(self) -> float:
@@ -205,14 +326,32 @@ def repair_schedule_delta(
     *,
     validate: bool = True,
 ) -> DeltaRepairResult:
-    """Repair ``schedule`` (planned for ``basis_cost``) for ``problem``.
+    """Re-time ``schedule`` (planned for ``basis_cost``) for ``problem``.
 
     ``schedule`` must be a valid full-coverage plan for ``basis_cost``.
-    The result is a valid full-coverage plan for ``problem.cost``; with
-    ``validate`` (the default) it is checked inline by
-    :func:`~repro.timing.validate.check_schedule` before being
-    returned, so an invalid repair can never escape into serving.
+    The result is a valid full-coverage plan for ``problem.cost``,
+    checked inline in O(E) unless it is FIFO's answer; ``validate``
+    (the default) adds the full
+    :func:`~repro.timing.validate.check_schedule`, so an invalid
+    re-time can never escape into serving.  Zero drift returns
+    ``schedule`` itself.
     """
+    return _retime(schedule, basis_cost, problem, validate, True)
+
+
+def retime_schedule(
+    schedule: Schedule,
+    basis_cost: np.ndarray,
+    problem: TotalExchangeProblem,
+    *,
+    validate: bool = False,
+) -> DeltaRepairResult:
+    """:func:`repair_schedule_delta` that re-times under zero drift too
+    (a plan with idle gaps then tightens)."""
+    return _retime(schedule, basis_cost, problem, validate, False)
+
+
+def _retime(schedule, basis_cost, problem, validate, keep_unchanged):
     basis = np.asarray(basis_cost, dtype=float)
     new_cost = problem.cost
     n = problem.num_procs
@@ -225,136 +364,118 @@ def repair_schedule_delta(
         raise ValueError(
             f"basis shape {basis.shape} != cost shape {new_cost.shape}"
         )
-    if np.array_equal(basis, new_cost):
-        return DeltaRepairResult(
-            schedule=schedule,
-            dirty_pairs=0,
-            reinserted=0,
-            frozen=len(schedule),
-            identical=True,
-        )
-
     starts, srcs, dsts, durations = event_columns(schedule)
-    new_dur = new_cost[srcs, dsts]
-    grown = new_dur > durations
-
-    # Required pairs the old plan has no event for at all (a
-    # self-message appearing on a node that previously had none —
-    # off-diagonal pairs are always covered by a valid plan's markers).
-    flat_new = new_cost.reshape(-1)
-    has_event = schedule.__dict__.get(_HAS_EVENT_ATTR)
-    if has_event is None:
-        has_event = np.zeros(n * n, dtype=bool)
-        has_event[srcs * n + dsts] = True
-        schedule.__dict__[_HAS_EVENT_ATTR] = has_event
-    appeared = np.flatnonzero((flat_new > 0) & ~has_event)
-
-    sizes = (
-        np.asarray(problem.sizes, dtype=float)
-        if problem.sizes is not None
-        else None
-    )
-
-    levels = None
-    if not grown.any() and appeared.size == 0:
-        # Strict freeze: every new window is a subset of its old window.
-        out_starts = starts
-        out_srcs = srcs
-        out_dsts = dsts
-        out_durs = new_dur
-        reinserted = 0
-    else:
-        # Order-preserving splice: positive events re-executed in old
-        # (start, src, dst) order against the frozen per-port sequences;
-        # markers (zero new duration) occupy no port time and keep their
-        # slot; appeared self-messages go after the ordered events.
-        order = event_order(schedule)
-        if order is None:
-            positive = np.flatnonzero(new_dur > 0)
-        else:
-            positive = order[new_dur[order] > 0]
-        ev_srcs = np.concatenate([srcs[positive], appeared // n])
-        ev_dsts = np.concatenate([dsts[positive], appeared % n])
-        ev_durs = np.concatenate([new_dur[positive], flat_new[appeared]])
-        level_mat = None
-        cached = schedule.__dict__.get(_LEVELS_ATTR)
-        if cached is not None and cached.shape == (n, n):
-            levels = cached[ev_srcs, ev_dsts]
-            # pairs the matrix has never seen (former markers grown to
-            # a positive duration, appeared self-messages) go after
-            # everything, each on its own level so no port can clash
-            unseen = np.flatnonzero(levels < 0)
-            if unseen.size:
-                top = int(levels.max()) + 1 if levels.size > unseen.size else 0
-                levels[unseen] = top + np.arange(unseen.size)
-            else:
-                level_mat = cached
-        if levels is not None:
-            memo = schedule.__dict__.get(_LEVEL_ORDER_ATTR)
-            if memo is not None and np.array_equal(memo[0], levels):
-                level_order = memo[1]
-            else:
-                level_order = np.argsort(levels, kind="stable")
-                schedule.__dict__[_LEVEL_ORDER_ATTR] = (levels, level_order)
-            ev_starts = _execute_by_levels(
-                n, ev_srcs, ev_dsts, ev_durs, levels, level_order
-            )
-        else:
-            ev_starts, levels = _compute_levels_and_starts(
-                n, ev_srcs, ev_dsts, ev_durs
-            )
-        moved = int(
-            np.count_nonzero(ev_starts[: positive.size] != starts[positive])
+    st = schedule.__dict__.get(_STRUCTURE_ATTR)
+    if st is None:
+        st = _Structure(
+            n, starts, srcs, dsts, durations > 0, event_order(schedule)
         )
-        reinserted = moved + int(appeared.size)
-        markers = np.flatnonzero(new_dur == 0)
-        if markers.size:
-            out_starts = np.concatenate([starts[markers], ev_starts])
-            out_srcs = np.concatenate([srcs[markers], ev_srcs])
-            out_dsts = np.concatenate([dsts[markers], ev_dsts])
-            out_durs = np.concatenate([new_dur[markers], ev_durs])
-        else:
-            out_starts = ev_starts
-            out_srcs = ev_srcs
-            out_dsts = ev_dsts
-            out_durs = ev_durs
+        schedule.__dict__[_STRUCTURE_ATTR] = st
+    dirty = int(np.count_nonzero(new_cost != basis))
+    ports = st.ports or _ports(n, st, starts, srcs, dsts)
+    ev_srcs, ev_dsts, pairs, old, src_list, dst_list = ports
+    m = st.m
+    claim = not (st.tied or st.split)
+    if keep_unchanged and not dirty:
+        # the plan itself; FIFO's answer when it is tight and passes
+        # the FIFO test
+        send_pred, recv_pred = st.preds(srcs, dsts)
+        finish = _finish(old[:m], durations[st.cols[:m]])
+        fifo = _checked(
+            old[:m], finish, send_pred, recv_pred, ev_srcs[:m], claim
+        ) and old[m:].tobytes() == finish[st.marker_pred].tobytes()
+        return DeltaRepairResult(
+            schedule, 0, 0, len(schedule), identical=True, fifo=fifo,
+            split=st.split,
+        )
 
-    if sizes is not None:
-        out_sizes = sizes[out_srcs, out_dsts]
+    def durations_of(st, pairs):
+        durs = np.take(new_cost, pairs)
+        if st.split:  # a piece keeps its share of its pair's cost
+            plan, base = durations[st.cols], np.take(basis, pairs)
+            pieces = plan != base
+            durs[pieces] = plan[pieces] * durs[pieces] / base[pieces]
+        return durs
+
+    ev_durs = durations_of(st, pairs)
+    live = ev_durs > 0
+    same = live.tobytes() == st.live_bytes
+    if not same:
+        # a pair repriced to or from zero: a structure for this call
+        # alone, over the events that hold a port now
+        now = np.empty(live.shape[0], dtype=bool)
+        now[st.cols] = live
+        st = _Structure(n, starts, srcs, dsts, now, event_order(schedule))
+        ev_srcs, ev_dsts, pairs, old, src_list, dst_list = st.ports or (
+            _ports(n, st, starts, srcs, dsts)
+        )
+        m = st.m
+        ev_durs = durations_of(st, pairs)
+    # Required pairs the plan has no event for (a self-message appearing
+    # on a node that had none; a valid plan covers every other pair).
+    appeared = np.empty(0, dtype=np.intp)
+    if st.split or np.count_nonzero(new_cost) > m:
+        appeared = np.flatnonzero((new_cost.reshape(-1) > 0) & ~st.has_event)
+    same = same and not appeared.size
+    claim = claim and same
+    if same and m > SEQUENTIAL_MAX_EVENTS and st.retimed:
+        if st.bounds is None:
+            st.by_levels(n, srcs, dsts)
+            ev_srcs, ev_dsts, pairs, old, _, _ = _ports(
+                n, st, starts, srcs, dsts
+            )
+            ev_durs = durations_of(st, pairs)
+        send_pred, recv_pred = st.send_pred, st.recv_pred
+        pos_durs = ev_durs[:m]
+        pos_starts = _level_pass(send_pred, recv_pred, pos_durs, st.bounds)
+        finish = _finish(pos_starts, pos_durs)
+        fifo = _checked(
+            pos_starts, finish, send_pred, recv_pred, ev_srcs[:m], claim
+        )
     else:
-        out_sizes = np.zeros(out_srcs.shape[0])
+        pos_durs = ev_durs[:m]
+        if src_list is None:
+            src_list, dst_list = ev_srcs[:m].tolist(), ev_dsts[:m].tolist()
+        if appeared.size:  # after the plan's events
+            src_list = src_list + (appeared // n).tolist()
+            dst_list = dst_list + (appeared % n).tolist()
+            pos_durs = np.concatenate([pos_durs, np.take(new_cost, appeared)])
+        pos_starts, fifo, finite = _sequential(
+            n, src_list, dst_list, pos_durs.tolist()
+        )
+        if not finite:
+            raise ScheduleError("re-timed schedule has non-finite times")
+        fifo = fifo and claim
+        st.retimed = st.retimed or same
 
-    repaired = schedule_from_unsorted_columns(
-        n, out_starts, out_srcs, out_dsts, out_durs, out_sizes
+    # columns: positive events, markers at their senders' clocks, then
+    # the appeared pairs
+    ev_starts = pos_starts
+    if m < old.size or appeared.size:
+        finish = _finish(pos_starts, pos_durs)
+        ev_starts = np.concatenate(
+            [pos_starts[:m], finish[st.marker_pred], pos_starts[m:]]
+        )
+        ev_durs = np.concatenate(
+            [pos_durs[:m], np.zeros(old.size - m), pos_durs[m:]]
+        )
+        ev_srcs = np.concatenate([ev_srcs, appeared // n])
+        ev_dsts = np.concatenate([ev_dsts, appeared % n])
+        pairs = np.concatenate([pairs, appeared])
+    reinserted = int(np.count_nonzero(ev_starts[:old.size] != old))
+    reinserted += appeared.size
+    sizes = (
+        np.take(problem.sizes, pairs) if problem.sizes is not None
+        else np.zeros(pairs.shape[0])
     )
-    if levels is not None:
-        # Hand the level structure to the next repair in the lineage.
-        # Splices preserve per-port order (starts strictly increase
-        # along a port), so the levels stay a valid wave partition for
-        # every later repair of this plan.  Skipped if any pair somehow
-        # holds two events — the matrix could not tell them apart.
-        # When the levels came whole from the incumbent's cache the
-        # matrix is unchanged and is passed along as-is.
-        if level_mat is None:
-            mat = np.full((n, n), -1, dtype=np.int64)
-            mat[ev_srcs, ev_dsts] = levels
-            if int(np.count_nonzero(mat >= 0)) == ev_srcs.shape[0]:
-                level_mat = mat
-        if level_mat is not None:
-            repaired.__dict__[_LEVELS_ATTR] = level_mat
-            # the incumbent has the same per-port orders, so callers
-            # that repair the same plan repeatedly (the session keeps
-            # its plan anchored across repair ticks) warm up after one
-            # splice
-            schedule.__dict__[_LEVELS_ATTR] = level_mat
+    repaired = schedule_from_unsorted_columns(
+        n, ev_starts, ev_srcs, ev_dsts, ev_durs, sizes
+    )
     if validate:
-        check_schedule_fast(repaired, new_cost)
+        check_schedule_fast(repaired, None if st.split else new_cost)
+    frozen = len(schedule) + appeared.size - reinserted
     return DeltaRepairResult(
-        schedule=repaired,
-        dirty_pairs=int(np.count_nonzero(new_cost != basis)),
-        reinserted=reinserted,
-        frozen=len(schedule) + int(appeared.size) - reinserted,
-        identical=False,
+        repaired, dirty, reinserted, frozen, fifo=fifo, split=st.split
     )
 
 
@@ -366,20 +487,22 @@ def repair_plan(
     scheduler=None,
     validate: bool = True,
 ):
-    """Repair a plan, preferring the scheduler's own delta hook.
+    """Re-time a plan, preferring the scheduler's own delta hook.
 
     Schedulers that keep plan-level state (the hierarchical scheduler's
     block decomposition) expose ``delta_repair(problem, validate=...)``
     returning a :class:`DeltaRepairResult` or ``None``; this dispatcher
     tries the hook first (duck-typed, like the session's fault hooks)
-    and falls back to the flat event-level
-    :func:`repair_schedule_delta`.  Returns ``None`` only when neither
-    path produced a valid repair — the caller should fully reschedule.
+    and falls back to the flat :func:`repair_schedule_delta`.  Returns
+    ``None`` only when neither path produced a valid schedule — the
+    caller should serve or plan something else.
     """
     hook = getattr(scheduler, "delta_repair", None)
     if hook is not None:
         try:
-            result = hook(problem, validate=validate)
+            # the hook re-plans blocks instead of re-timing port orders,
+            # so the O(E) check does not cover it: it checks in full
+            result = hook(problem, validate=True)
         except Exception:  # noqa: BLE001 — repair must never take serving down
             result = None
         if result is not None:

@@ -181,14 +181,14 @@ def _drift_response(
     * **repair** — :mod:`repro.adaptive.delta` event-level repair below
       ``hier_min_p`` (the flat open shop tiers), block-level
       :meth:`HierarchicalScheduler.delta_repair` at and above it; both
-      validated inline with :func:`check_schedule`, exactly like the
-      serving hot path;
+      validated inline with the full :func:`check_schedule` (the
+      serving hot path checks its re-times in O(E) instead);
     * **full** — the matching from-scratch scheduler on the same costs.
 
-    Every repair splices the *anchored* plan — exactly what the session
-    does on its repair tier — so the first tick pays the splice's
-    one-time level pass and later ticks show the warm steady state the
-    p50 reports.  Records p50/p99 latencies for both paths, the p50
+    Every repair re-times the *anchored* plan — exactly what the session
+    does on its repair tier — so the first two ticks pay the re-timer's
+    one-time structure and level builds and later ticks show the warm
+    steady state the p50 reports.  Records p50/p99 latencies for both paths, the p50
     speedup, and the worst repaired/from-scratch makespan ratio.
     """
     from repro.adaptive.delta import repair_schedule_delta
@@ -515,6 +515,68 @@ def _refine_ticks(
             sum(event.predicted_makespan for event in events)
         ),
     }
+
+
+def _robustness(
+    num_procs: int,
+    *,
+    seed: int = 0,
+    noise: Sequence[float],
+    schedulers: Sequence[str],
+) -> Dict[str, Any]:
+    """A tight plan served one tick later under relative cost noise.
+
+    Each scheduler plans :func:`bench_instance`; the plan is then served
+    through the session's serving rule
+    (:func:`repro.runtime.session.serve_plan`) under the instance's
+    costs, each pair scaled by its own ``1 + u`` with ``u`` uniform in
+    ``[-eps, eps]``.  Records, per scheduler and ``eps``, the served
+    makespan and the FIFO execution of the plan's send orders (the only
+    schedule the session served before it compared disciplines), each
+    as a ratio to that tick's lower bound, and the worst served/planned
+    makespan over ``eps <= 1e-9``: a plan must not come apart under
+    noise far below any measurement's resolution.
+    """
+    from repro.core.registry import make_scheduler
+    from repro.runtime.session import serve_plan
+    from repro.sim.engine import execute_orders
+
+    problem = bench_instance(num_procs, seed=seed)
+    out: Dict[str, Any] = {
+        "meta": {
+            "seed": seed,
+            "noise": list(noise),
+            "workload": "bench_instance (mixed sizes)",
+        },
+    }
+    worst = 0.0
+    for name in schedulers:
+        plan = make_scheduler(name)(problem)
+        orders = plan.send_orders()
+        entry: Dict[str, Any] = {
+            "planned_ratio_to_lb": plan.completion_time
+            / problem.lower_bound(),
+        }
+        for k, eps in enumerate(noise):
+            rng = to_rng(stable_seed("bench.robustness", seed, num_procs, k))
+            cost = problem.cost * (
+                1.0 + rng.uniform(-eps, eps, problem.cost.shape)
+            )
+            noisy = TotalExchangeProblem(cost=cost, sizes=problem.sizes)
+            served = serve_plan(plan, orders, problem.cost, noisy).schedule
+            fifo = execute_orders(noisy, orders, validate=False)
+            bound = noisy.lower_bound()
+            entry[f"eps_{eps:.0e}"] = {
+                "served_ratio_to_lb": served.completion_time / bound,
+                "fifo_ratio_to_lb": fifo.completion_time / bound,
+            }
+            if eps <= 1e-9:
+                worst = max(
+                    worst, served.completion_time / plan.completion_time
+                )
+        out[name] = entry
+    out["served_vs_planned_max"] = worst
+    return out
 
 
 def _drive_daemon(
@@ -1163,6 +1225,18 @@ TIERS: Dict[str, Tier] = {
             Metric("refine.max_s", SECONDS),
             Metric("evaluations", QUALITY),
             Metric("predicted_makespan_s", QUALITY),
+        ),
+    ),
+    "robustness": Tier(
+        "robustness_p{P}", _robustness,
+        {
+            "noise": (0.0, 1e-9, 1e-3, 1e-1),
+            "schedulers": ("openshop", "greedy", "hierarchical"),
+        },
+        sizes=(64, 256),
+        metrics=(
+            Metric("*.*.served_ratio_to_lb", QUALITY),
+            Metric("served_vs_planned_max", GUARANTEE, bound=1.0 + 1e-6),
         ),
     ),
     "daemon_load": Tier(

@@ -20,11 +20,16 @@ Robustness guarantees:
 * staleness caps bound how long noisy, low-drift readings can pin the
   session to an old plan.
 
-Every tick emits a structured :class:`~repro.runtime.metrics.TickEvent`
-into a :class:`~repro.runtime.metrics.RuntimeMetrics` registry,
-including the predicted-vs-executed makespan regret (the plan's promise
-under its planning basis versus its re-execution under the costs that
-actually materialised — the adaptivity gap of :mod:`repro.sim.replay`).
+Every tick serves the active plan in the better of two disciplines
+(:func:`serve_plan`): its strict re-timing (each event starts once both
+of its ports are free, in the plan's per-port orders) or its FIFO
+execution (the executor's first-come first-served receivers).  Every
+tick emits a structured :class:`~repro.runtime.metrics.TickEvent` into
+a :class:`~repro.runtime.metrics.RuntimeMetrics` registry, including the
+predicted-vs-executed makespan regret (the served candidate under the
+planning costs versus its re-execution under the costs that actually
+materialised — measurement error, the adaptivity gap of
+:mod:`repro.sim.replay`).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Callable, Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.adaptive.delta import repair_plan
+from repro.adaptive.delta import DeltaRepairResult, repair_plan
 from repro.adaptive.incremental import dirty_fraction, refine_orders
 from repro.core.baseline import schedule_baseline
 from repro.core.problem import TotalExchangeProblem
@@ -78,9 +83,72 @@ class _Plan:
     orders: SendOrders
     basis_cost: np.ndarray  # the costs the orders were computed/refined for
     predicted_makespan: float  # completion under the basis costs
-    #: The plan as an event schedule under the basis costs — the repair
-    #: tier patches this in place; ``None`` disables delta repair.
+    #: The plan as an event schedule under the basis costs — every tick
+    #: re-times it; ``None`` leaves only the FIFO execution of the
+    #: orders and disables the repair tier.
     schedule: Optional[Schedule] = None
+
+
+@dataclass(frozen=True)
+class Served:
+    """The schedule one tick serves, and the prediction behind it."""
+
+    #: The served discipline, executed under the actual costs.
+    schedule: Schedule
+    #: The served candidate's makespan under the planning costs.
+    predicted: float
+
+
+def serve_plan(
+    schedule: Optional[Schedule],
+    orders: SendOrders,
+    basis_cost: np.ndarray,
+    planning: TotalExchangeProblem,
+    actual: Optional[TotalExchangeProblem] = None,
+    *,
+    scheduler=None,
+    retimed: Optional[DeltaRepairResult] = None,
+) -> Served:
+    """Serve a plan in the better of its two disciplines.
+
+    The candidates are the strict re-timing of ``schedule`` (planned for
+    ``basis_cost``) under the planning costs, through :func:`repair_plan`
+    unless ``retimed`` already holds it, and the FIFO execution of
+    ``orders``.  The executor runs only when the re-timing is not
+    already its answer, and never for a plan that repeats a pair (the
+    executor would price every piece at its pair's whole cost).  The
+    smaller predicted makespan is served; a tie serves FIFO.  With a
+    separate ``actual`` problem, the chosen discipline runs again under
+    its costs.
+    """
+    if retimed is None and schedule is not None:
+        retimed = repair_plan(
+            schedule, basis_cost, planning, scheduler=scheduler,
+            validate=False,
+        )
+    planned = strict = None
+    if retimed is not None:
+        planned, strict = retimed.schedule, not retimed.fifo
+    if retimed is None or not (retimed.fifo or retimed.split):
+        fifo = execute_orders(planning, orders, validate=False)
+        if planned is None or fifo.completion_time <= planned.completion_time:
+            planned, strict = fifo, False
+    executed = planned
+    if (
+        actual is not None
+        and actual is not planning
+        and not np.array_equal(actual.cost, planning.cost)
+    ):
+        again = None
+        if strict:
+            again = repair_plan(
+                planned, planning.cost, actual, validate=False
+            )
+        executed = (
+            again.schedule if again is not None
+            else execute_orders(actual, orders, validate=False)
+        )
+    return Served(executed, planned.completion_time)
 
 
 @dataclass
@@ -359,37 +427,42 @@ class AdaptiveSession:
             decision = RESCHEDULE
             reason = "chaos hook: forced reschedule with injected timeout"
 
+        retimed = None
         if decision == REPAIR:
             started = self._clock()
-            result = repair_plan(
+            retimed = repair_plan(
                 self._plan.schedule,
                 self._plan.basis_cost,
                 planning,
                 scheduler=self._scheduler,
+                validate=False,
             )
             elapsed = self._clock() - started
-            if result is None:
+            if retimed is None:
                 decision = RESCHEDULE
                 reason += "; delta repair failed: full reschedule"
             else:
-                repaired_events = result.reinserted
-                # The splice preserves the plan's per-port orders, so
+                repaired_events = retimed.reinserted
+                # The re-time preserves the plan's per-port orders, so
                 # the plan stays anchored at its last reschedule or
-                # refine: same orders, same basis, same repairable
+                # refine: same orders, same basis, same re-timable
                 # schedule.  Drift therefore keeps accumulating against
                 # the true planning basis and the ladder escalates to
                 # refine/reschedule once repairs alone would go stale —
                 # rebasing here instead would let every repair restart
                 # the drift clock and compound its own quality loss
-                # tick over tick.  Only the serving prediction moves.
-                self._plan = _Plan(
-                    orders=self._plan.orders,
-                    basis_cost=self._plan.basis_cost,
-                    predicted_makespan=result.completion_time,
-                    schedule=self._plan.schedule,
-                )
+                # tick over tick.  A repair tick differs from a reuse
+                # tick only in its counters and its moved-event count.
                 self._ticks_since_reschedule += 1
                 self._reuse_streak = 0
+
+        if decision == REFINE and any(
+            len(set(dsts)) < len(dsts) for dsts in self._plan.orders
+        ):
+            # refine prices its moves with the FIFO executor, which
+            # charges every piece of a split pair the pair's whole cost
+            decision = RESCHEDULE
+            reason += "; a split plan cannot be refined: full reschedule"
 
         if decision == RESCHEDULE:
             schedule = None
@@ -443,29 +516,42 @@ class AdaptiveSession:
                 predicted_makespan=result.completion_time,
                 schedule=result.schedule,
             )
+            # The refine's own execution is FIFO's answer for its orders
+            # under the planning costs, and its own strict re-timing.
+            retimed = DeltaRepairResult(
+                schedule=result.schedule,
+                dirty_pairs=0,
+                reinserted=0,
+                frozen=len(result.schedule),
+                identical=True,
+                fifo=True,
+            )
             self._ticks_since_reschedule += 1
             self._reuse_streak = 0
         elif decision == REUSE:
             self._ticks_since_reschedule += 1
             self._reuse_streak += 1
 
-        # Execute the active plan under the costs that actually
-        # materialised (the directory's truth when it exposes one).  A
-        # refine already executed its orders under the planning costs, so
-        # without a separate truth that execution is served as is.
+        # Serve the active plan in the better discipline, executed under
+        # the costs that actually materialised (the directory's truth
+        # when it exposes one).
         actual = self._true_problem(planning, snapshot, sizes)
-        if decision == REFINE and actual is planning:
-            executed = self._plan.schedule
-        else:
-            executed = execute_orders(
-                actual, self._plan.orders, validate=False
-            )
+        plan = self._plan
+        served = serve_plan(
+            plan.schedule,
+            plan.orders,
+            plan.basis_cost,
+            planning,
+            actual,
+            scheduler=self._scheduler,
+            retimed=retimed,
+        )
         return _ServeState(
             decision=decision,
             reason=reason,
             drift=drift,
-            predicted=self._plan.predicted_makespan,
-            executed=executed,
+            predicted=served.predicted,
+            executed=served.schedule,
             actual=actual,
             elapsed=elapsed,
             evaluations=evaluations,

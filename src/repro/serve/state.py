@@ -71,9 +71,9 @@ def _plan_from_state(
     orders = [list(map(int, order)) for order in state["orders"]]
     schedule = state.get("schedule")
     schedule = None if schedule is None else schedule_from_dict(schedule)
-    # Reuse ticks execute the orders and repair ticks patch the schedule,
-    # so sender by sender both dispatch the same events (a splitting
-    # scheduler repeats a pair; a degraded tick may leave one out).
+    # Ticks execute the orders and re-time the schedule, so sender by
+    # sender both dispatch the same events (a splitting scheduler
+    # repeats a pair; a degraded tick may leave one out).
     if (
         basis.shape != (n, n)
         or not 0 <= predicted < float("inf")

@@ -5,8 +5,8 @@ one directory snapshot, but the network has moved on by the time it runs.
 These helpers re-execute a planned schedule's event order — which fixes
 both each sender's dispatch order and each receiver's service order —
 under the costs that actually materialised, using the same strict
-order-preserving semantics the schedulers plan for
-(:func:`repro.sim.engine.execute_steps_strict`).
+order-preserving semantics the schedulers plan for: the serving
+runtime's re-timer (:func:`repro.adaptive.delta.retime_schedule`).
 
 The module also provides recorded *drift traces* — timestamped snapshot
 sequences (:class:`DriftTrace`) playable through a
@@ -26,8 +26,7 @@ import numpy as np
 from repro.core.problem import TotalExchangeProblem
 from repro.directory.perturb import perturb_snapshot
 from repro.directory.service import DirectoryService, DirectorySnapshot
-from repro.sim.engine import execute_steps_strict
-from repro.timing.events import Schedule
+from repro.timing.events import Schedule, event_columns
 from repro.util.rng import stable_seed, to_rng
 
 
@@ -36,18 +35,27 @@ def replay_schedule(
 ) -> Schedule:
     """Execute ``planned``'s event order under ``actual``'s costs.
 
-    Every event becomes its own single-event step, in planned start
-    order; strict execution then respects the planned per-port orders
-    while letting start times stretch or shrink with the new costs.
+    The planned per-port orders are kept and every start is recomputed
+    (an event starts once both of its ports are free), so start times
+    stretch or shrink with the new costs.  Zero-cost markers sit at
+    their sender's clock.  A pair the plan sends in pieces keeps its
+    pieces, scaled to the pair's new cost.
     """
-    if planned.num_procs != actual.num_procs:
+    # imported here: repro.adaptive imports the schedulers, which import
+    # this package
+    from repro.adaptive.delta import retime_schedule
+
+    n = planned.num_procs
+    if n != actual.num_procs:
         raise ValueError(
-            f"schedule over {planned.num_procs} processors cannot replay on "
+            f"schedule over {n} processors cannot replay on "
             f"a {actual.num_procs}-processor instance"
         )
-    ordered = sorted(planned, key=lambda e: (e.start, e.src, e.dst))
-    steps = [[(e.src, e.dst)] for e in ordered]
-    return execute_steps_strict(actual.cost, steps, sizes=actual.sizes)
+    _, srcs, dsts, durations = event_columns(planned)
+    basis = np.bincount(
+        srcs * n + dsts, weights=durations, minlength=n * n
+    ).reshape(n, n)
+    return retime_schedule(planned, basis, actual).schedule
 
 
 @dataclass(frozen=True)
