@@ -29,8 +29,9 @@ part of the problem from ``P`` to the number of clusters ``K``:
    durations is itself a total-exchange instance (cluster = node,
    block = message, diagonal blocks = cluster self-messages occupying
    both cluster ports).  The existing vectorized open shop kernel
-   (:func:`repro.core.openshop._openshop_fields`) packs the block
-   windows near-optimally in ``O(K^2)`` picks;
+   (:func:`repro.core.openshop._openshop_picks`) packs the block
+   windows near-optimally in ``O(K^2)`` picks, each a ``(start, a, b)``
+   block window;
 4. **splice** — each event's absolute start is its block window start
    (the gateway-aware offset from level 3) plus its local round offset
    (level 2).  Validity is by construction at all three levels: block
@@ -66,7 +67,7 @@ from repro.core.clustering import (
     cluster_permutation,
     detect_clusters,
 )
-from repro.core.openshop import _openshop_fields, schedule_openshop
+from repro.core.openshop import _openshop_picks, schedule_openshop
 from repro.core.problem import TotalExchangeProblem
 from repro.timing.events import Schedule, schedule_from_unsorted_columns
 
@@ -239,18 +240,14 @@ def _two_level_schedule(
     # Level 3: the K x K block-duration matrix is itself a total
     # exchange — cluster send/receive ports, diagonal blocks as cluster
     # self-messages.  The vectorized open shop kernel packs the windows.
-    fields = _openshop_fields(
-        block_duration.tolist(),
-        block_duration > 0,
-        [0.0] * k,
-        [0.0] * k,
-        [[0.0] * k] * k,
+    picks = _openshop_picks(
+        block_duration.tolist(), block_duration > 0, [0.0] * k, [0.0] * k
     )
     # Splice: every event starts at its block window plus its local
     # round offset (blocks the kernel never scheduled are all-marker
     # blocks whose events carry zero duration — any start is valid).
     windows = np.zeros((k, k))
-    for start, a, b, _, _ in fields:
+    for start, a, b in zip(*picks):
         if start:
             windows[a, b] = start
             a0, a1 = spans[a]
@@ -522,15 +519,12 @@ class HierarchicalScheduler:
         if np.array_equal(block_duration, state.block_duration):
             windows = state.windows
         else:
-            fields = _openshop_fields(
-                block_duration.tolist(),
-                block_duration > 0,
-                [0.0] * k,
-                [0.0] * k,
-                [[0.0] * k] * k,
+            picks = _openshop_picks(
+                block_duration.tolist(), block_duration > 0,
+                [0.0] * k, [0.0] * k,
             )
             windows = np.zeros((k, k))
-            for start, a, b, _, _ in fields:
+            for start, a, b in zip(*picks):
                 if start:
                     windows[a, b] = start
 

@@ -41,9 +41,12 @@ event semantics but restates the pick as dense array arithmetic:
   is an O(1) ``pop`` from the end and a reschedule is one
   ``bisect.insort``, cheaper than a heap sift at these sizes.
 
-Events are emitted as raw field tuples and materialised into
-:class:`CommEvent` objects only at the API boundary, the same trusted
-construction the executors in :mod:`repro.sim.engine` use.
+The kernel appends each pick's start, sender and receiver to three flat
+lists; :func:`schedule_openshop` gathers durations and sizes with one
+fancy index each and hands the columns, unsorted (pick order), to the
+same trusted lazy construction the executors in :mod:`repro.sim.engine`
+use.  :class:`CommEvent` objects exist only if someone reads the
+schedule's ``events``.
 """
 
 from __future__ import annotations
@@ -57,22 +60,17 @@ from repro.core.problem import TotalExchangeProblem
 from repro.timing.events import (
     CommEvent,
     Schedule,
-    schedule_from_fields,
+    schedule_from_unsorted_columns,
 )
 
-# Event field tuples in CommEvent field order: (start, src, dst, duration,
-# size).  Tuple lexicographic order therefore equals event order.
-EventFields = List[Tuple[float, int, int, float, float]]
 
-
-def _openshop_fields(
+def _openshop_picks(
     cost_rows: List[List[float]],
     mask: np.ndarray,
     sendavail: List[float],
     recvavail: List[float],
-    size_rows: List[List[float]],
-) -> EventFields:
-    """List-scheduling kernel emitting event field tuples in pick order.
+) -> Tuple[List[float], List[int], List[int]]:
+    """List-scheduling kernel: ``(starts, srcs, dsts)`` in pick order.
 
     ``mask[src, dst]`` marks the still-unscheduled pairs.  ``sendavail``
     and ``recvavail`` are mutated in place to the post-schedule port
@@ -103,8 +101,12 @@ def _openshop_fields(
     )
     pop = agenda.pop
 
-    fields: EventFields = []
-    fields_append = fields.append
+    starts: List[float] = []
+    srcs: List[int] = []
+    dsts: List[int] = []
+    starts_append = starts.append
+    srcs_append = srcs.append
+    dsts_append = dsts.append
     while agenda:
         neg_avail, neg_src = pop()
         src = -neg_src
@@ -116,9 +118,10 @@ def _openshop_fields(
         send_at = -neg_avail
         recv_at = recvavail[dst]
         start = send_at if send_at >= recv_at else recv_at
-        duration = cost_rows[src][dst]
-        finish = start + duration
-        fields_append((start, src, dst, duration, size_rows[src][dst]))
+        finish = start + cost_rows[src][dst]
+        starts_append(start)
+        srcs_append(src)
+        dsts_append(dst)
         sendavail[src] = finish
         recvavail[dst] = finish
         recv_arr[dst] = finish
@@ -126,7 +129,7 @@ def _openshop_fields(
         counts[src] -= 1
         if counts[src]:
             insort(agenda, (-finish, neg_src))
-    return fields
+    return starts, srcs, dsts
 
 
 def _pair_mask(n: int, pairs: Iterable[Tuple[int, int]]) -> np.ndarray:
@@ -137,14 +140,6 @@ def _pair_mask(n: int, pairs: Iterable[Tuple[int, int]]) -> np.ndarray:
         arr = np.asarray(pair_list, dtype=np.intp)
         mask[arr[:, 0], arr[:, 1]] = True
     return mask
-
-
-def _size_rows(n: int, sizes: Optional[np.ndarray]) -> List[List[float]]:
-    if sizes is None:
-        # One shared all-zero row: the kernel only reads it.
-        row = [0.0] * n
-        return [row] * n
-    return np.asarray(sizes, dtype=float).tolist()
 
 
 def openshop_events(
@@ -169,55 +164,58 @@ def openshop_events(
     """
     n = len(sendavail)
     cost_rows = np.asarray(cost, dtype=float).tolist()
-    fields = _openshop_fields(
-        cost_rows,
-        _pair_mask(n, pairs),
-        sendavail,
-        recvavail,
-        _size_rows(n, sizes),
+    size_rows = (
+        None if sizes is None else np.asarray(sizes, dtype=float).tolist()
+    )
+    picks = _openshop_picks(
+        cost_rows, _pair_mask(n, pairs), sendavail, recvavail
     )
     # Trusted CommEvent construction: the kernel guarantees the field
     # invariants, so skip the dataclass constructor and validation.
     new = object.__new__
     events: List[CommEvent] = []
     append = events.append
-    for start, src, dst, duration, size in fields:
+    for start, src, dst in zip(*picks):
         event = new(CommEvent)
         d = event.__dict__
         d["start"] = start
         d["src"] = src
         d["dst"] = dst
-        d["duration"] = duration
-        d["size"] = size
+        d["duration"] = cost_rows[src][dst]
+        d["size"] = 0.0 if size_rows is None else size_rows[src][dst]
         append(event)
     return events
 
 
 def schedule_openshop(problem: TotalExchangeProblem) -> Schedule:
-    """Open shop heuristic schedule (paper Figure 8)."""
+    """Open shop heuristic schedule (paper Figure 8).
+
+    Returns unsorted event columns: the zero-duration markers of the
+    free messages (so coverage holds), then the picks in pick order.
+    """
     cost = problem.cost
     n = problem.num_procs
-    cost_rows = cost.tolist()
-    size_rows = _size_rows(n, problem.sizes)
-
-    # Free messages appear as zero-duration markers so coverage holds.
     zero_mask = cost == 0
     np.fill_diagonal(zero_mask, False)
-    fields: EventFields = [
-        (0.0, src, dst, 0.0, size_rows[src][dst])
-        for src, dst in zip(*(idx.tolist() for idx in np.nonzero(zero_mask)))
-    ]
-
-    fields += _openshop_fields(
-        cost_rows,
-        cost > 0,
-        [0.0] * n,
-        [0.0] * n,
-        size_rows,
+    marker_srcs, marker_dsts = np.nonzero(zero_mask)
+    starts, srcs, dsts = _openshop_picks(
+        cost.tolist(), cost > 0, [0.0] * n, [0.0] * n
     )
-    # Fields are in pick order; the lazy Schedule sorts them only if the
-    # events are ever materialised (scoring needs just completion_time).
-    return schedule_from_fields(n, fields)
+    markers = marker_srcs.size
+    starts = np.concatenate([np.zeros(markers), starts])
+    srcs = np.concatenate([marker_srcs, np.asarray(srcs, dtype=np.intp)])
+    dsts = np.concatenate([marker_dsts, np.asarray(dsts, dtype=np.intp)])
+    durations = cost[srcs, dsts]
+    # a literal +0.0, as the executor writes: a -0.0 cost entry must
+    # not reach the events (or a digest)
+    durations[:markers] = 0.0
+    sizes = (
+        np.zeros(srcs.size) if problem.sizes is None
+        else problem.sizes[srcs, dsts]
+    )
+    return schedule_from_unsorted_columns(
+        n, starts, srcs, dsts, durations, sizes
+    )
 
 
 def openshop_bound(problem: TotalExchangeProblem) -> float:

@@ -88,12 +88,18 @@ def schedule_digest(schedule: Schedule) -> str:
     return hasher.hexdigest()
 
 
-def _scheduler_label(scheduler: Callable, name: Optional[str]) -> str:
-    if name is not None:
-        return name
-    module = getattr(scheduler, "__module__", "?")
-    qualname = getattr(scheduler, "__qualname__", repr(scheduler))
-    return f"{module}.{qualname}"
+def _schedule_key(
+    problem: TotalExchangeProblem,
+    scheduler: Callable,
+    name: Optional[str],
+    mask: Optional[np.ndarray],
+) -> Tuple[str, str]:
+    """The cache key of ``scheduler``'s schedule for ``problem``."""
+    if name is None:
+        module = getattr(scheduler, "__module__", "?")
+        qualname = getattr(scheduler, "__qualname__", repr(scheduler))
+        name = f"{module}.{qualname}"
+    return problem_digest(problem, mask=mask), name
 
 
 class ScheduleCache:
@@ -116,6 +122,25 @@ class ScheduleCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def _get(self, key: Tuple[str, str]):
+        """The entry under ``key`` (now most recent), or None; counts a
+        hit or a miss."""
+        cached = self._entries.get(key)
+        if cached is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._entries.move_to_end(key)
+        return cached
+
+    def _set(self, key: Tuple[str, str], value) -> None:
+        """Store ``value`` as the most recent entry, evicting the least
+        recent one beyond ``maxsize``."""
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+
     def get_or_compute(
         self,
         problem: TotalExchangeProblem,
@@ -125,20 +150,11 @@ class ScheduleCache:
         mask: Optional[np.ndarray] = None,
     ) -> Schedule:
         """Return the cached schedule, computing and storing it on a miss."""
-        key = (
-            problem_digest(problem, mask=mask),
-            _scheduler_label(scheduler, name),
-        )
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        schedule = scheduler(problem)
-        self._entries[key] = schedule
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        key = _schedule_key(problem, scheduler, name, mask)
+        schedule = self._get(key)
+        if schedule is None:
+            schedule = scheduler(problem)
+            self._set(key, schedule)
         return schedule
 
     def lookup(
@@ -158,17 +174,7 @@ class ScheduleCache:
         availability mask (see :func:`cost_digest`) so repaired-world
         lookups cannot answer with a pre-failure plan.
         """
-        key = (
-            problem_digest(problem, mask=mask),
-            _scheduler_label(scheduler, name),
-        )
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        return None
+        return self._get(_schedule_key(problem, scheduler, name, mask))
 
     def put(
         self,
@@ -185,14 +191,7 @@ class ScheduleCache:
         timing it) donate the result, so a later cached call is a hit
         instead of a recomputation.
         """
-        key = (
-            problem_digest(problem, mask=mask),
-            _scheduler_label(scheduler, name),
-        )
-        self._entries[key] = schedule
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        self._set(_schedule_key(problem, scheduler, name, mask), schedule)
 
     def aux_lookup(self, kind: str, digest: str):
         """A non-schedule artifact stored under ``(kind, digest)``, or None.
@@ -202,22 +201,11 @@ class ScheduleCache:
         (``kind="clusters"``) keyed by the cost digest, so serving ticks
         that revisit a previously seen world skip re-clustering.
         """
-        key = (f"aux:{kind}", digest)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        return None
+        return self._get((f"aux:{kind}", digest))
 
     def aux_put(self, kind: str, digest: str, value) -> None:
         """Store a non-schedule artifact under ``(kind, digest)``."""
-        key = (f"aux:{kind}", digest)
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        self._set((f"aux:{kind}", digest), value)
 
     def wrap(
         self,

@@ -77,15 +77,18 @@ class Schedule:
     schedules compare equal regardless of construction order.
 
     Schedules built by the trusted constructors
-    (:func:`schedule_from_fields`, :func:`schedule_from_columns`,
-    :func:`schedule_from_unsorted_columns`) hold their event data in raw
-    form and materialise the :class:`CommEvent` tuple only when
-    ``events`` is first read.  All behaviour is unchanged — equality,
-    iteration, hashing and every accessor see the same tuple — but the
-    serving-path readers (:attr:`completion_time`, ``len``,
-    :meth:`send_orders`, :func:`event_columns`) read the raw form
-    directly, so a serving tick or a sweep that only scores schedules
-    never pays the per-event object cost.
+    (:func:`schedule_from_columns`, :func:`schedule_from_unsorted_columns`)
+    hold their event data as parallel numpy columns and materialise the
+    :class:`CommEvent` tuple only when ``events`` is first read.  All
+    behaviour is unchanged — equality, iteration, hashing and every
+    accessor see the same tuple — but the serving-path readers
+    (:attr:`completion_time`, ``len``, :meth:`send_orders`,
+    :func:`event_columns`) read the columns directly, so a serving tick
+    or a sweep that only scores schedules never pays the per-event
+    object cost.  The columns outlive a read of ``events``: readers
+    (and what they memoise on the schedule, such as
+    :func:`event_order`) see the same arrays for the schedule's whole
+    life.
     """
 
     num_procs: int
@@ -105,17 +108,11 @@ class Schedule:
 
     def __getattr__(self, name: str):
         # Only ever reached for attributes missing from the instance
-        # dict — i.e. ``events`` on a lazily-constructed schedule.
-        if name == "events":
-            pending = self.__dict__.get("_pending")
-            if pending is not None:
-                events = _materialize_events(self)
-                d = self.__dict__
-                d["events"] = events
-                d.pop("_pending", None)
-                # event_columns now reports event order
-                d.pop(_EVENT_ORDER_KEY, None)
-                return events
+        # dict — i.e. ``events`` on a column-built schedule.
+        if name == "events" and _RAW_KEY in self.__dict__:
+            events = _materialize_events(self)
+            self.__dict__["events"] = events
+            return events
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
@@ -131,13 +128,9 @@ class Schedule:
         return iter(self.events)
 
     def __len__(self) -> int:
-        pending = self.__dict__.get("_pending")
-        if pending is not None:
-            return (
-                len(pending[1][0])
-                if pending[0].endswith("columns")
-                else len(pending[1])
-            )
+        raw = self.__dict__.get(_RAW_KEY)
+        if raw is not None:
+            return len(raw[1][0])
         return len(self.events)
 
     @property
@@ -151,20 +144,15 @@ class Schedule:
         makespan = d.get("_completion_time")
         if makespan is not None:
             return makespan
-        pending = d.get("_pending")
-        if pending is None:
+        raw = d.get(_RAW_KEY)
+        if raw is None:
             makespan = max(
                 (event.finish for event in self.events), default=0.0
             )
-        elif pending[0].endswith("columns"):
-            starts, _, _, durations, _ = pending[1]
+        else:
+            starts, _, _, durations, _ = raw[1]
             makespan = (
                 float((starts + durations).max()) if len(starts) else 0.0
-            )
-        else:
-            makespan = max(
-                (start + duration for start, _, _, duration, _ in pending[1]),
-                default=0.0,
             )
         d["_completion_time"] = makespan
         return makespan
@@ -184,31 +172,24 @@ class Schedule:
         re-execution under different network conditions via
         :func:`repro.sim.engine.execute_orders`.
         """
-        pending = self.__dict__.get("_pending")
-        if pending is not None and pending[0].endswith("columns"):
-            _, srcs, dsts, _ = event_columns(self)
-            order = event_order(self)
-            if order is not None:
-                srcs = srcs[order]
-                dsts = dsts[order]
-            # Group the canonically ordered destinations by sender; the
-            # stable sort keeps each sender's (start, dst) order.
-            by_src = np.argsort(srcs, kind="stable")
-            flat = dsts[by_src].tolist()
-            bounds = np.cumsum(
-                np.bincount(srcs, minlength=self.num_procs)
-            ).tolist()
-            return [
-                flat[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)
-            ]
-        orders: List[List[int]] = [[] for _ in range(self.num_procs)]
-        if pending is None:
+        if _RAW_KEY not in self.__dict__:
+            orders: List[List[int]] = [[] for _ in range(self.num_procs)]
             for event in self.events:  # already start-sorted
                 orders[event.src].append(event.dst)
-        else:
-            for _, src, dst, _, _ in _sorted_fields(self):
-                orders[src].append(dst)
-        return orders
+            return orders
+        _, srcs, dsts, _ = event_columns(self)
+        order = event_order(self)
+        if order is not None:
+            srcs = srcs[order]
+            dsts = dsts[order]
+        # Group the canonically ordered destinations by sender; the
+        # stable sort keeps each sender's (start, dst) order.
+        by_src = np.argsort(srcs, kind="stable")
+        flat = dsts[by_src].tolist()
+        bounds = np.cumsum(
+            np.bincount(srcs, minlength=self.num_procs)
+        ).tolist()
+        return [flat[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
 
     def busy_time(self, proc: int) -> Tuple[float, float]:
         """Return ``(send_busy, recv_busy)`` seconds for processor ``proc``."""
@@ -272,6 +253,10 @@ class Schedule:
         )
 
 
+#: Instance-dict key of a column-built schedule's raw form:
+#: ``(presorted, (starts, srcs, dsts, durations, sizes))``.
+_RAW_KEY = "_raw"
+
 #: Instance-dict key of an unsorted-columns schedule's memoised
 #: canonical permutation (see :func:`event_order`).
 _EVENT_ORDER_KEY = "_event_order"
@@ -280,61 +265,39 @@ _EVENT_ORDER_KEY = "_event_order"
 def event_order(schedule: Schedule) -> Optional[np.ndarray]:
     """Permutation of :func:`event_columns` into ``(start, src, dst)`` order.
 
-    ``None`` when the columns already are in that order, which holds
-    for every form but unsorted columns (hierarchical plans, repair
-    outputs) whose ``events`` have not been read.  Their permutation is
-    computed once and memoised on the (frozen) schedule — one index
-    array, not a sorted copy of the columns — so a plan that is
-    re-read every serving tick pays the sort once.
+    ``None`` when the columns already are in that order: schedules
+    built from events or from presorted columns (the FIFO executor's).
+    Unsorted columns (open shop, hierarchical plans, re-timed outputs)
+    get their permutation computed once and memoised on the (frozen)
+    schedule — one index array, not a sorted copy of the columns — so a
+    plan that is re-read every serving tick pays the sort once.
     """
     d = schedule.__dict__
-    pending = d.get("_pending")
-    if pending is None or pending[0] != "unsorted_columns":
+    raw = d.get(_RAW_KEY)
+    if raw is None or raw[0]:
         return None
     order = d.get(_EVENT_ORDER_KEY)
     if order is None:
-        starts, srcs, dsts = pending[1][:3]
+        starts, srcs, dsts = raw[1][:3]
         order = np.lexsort((dsts, srcs, starts))
         d[_EVENT_ORDER_KEY] = order
     return order
 
 
-def _sorted_fields(schedule: Schedule) -> List[Tuple]:
-    """The field tuples of a field-built schedule, in event order.
-
-    Unsorted tuples are sorted in place, once: field tuples share
-    :class:`CommEvent`'s field order, so tuple order is event order,
-    and materialisation would sort them first anyway.
-    """
-    d = schedule.__dict__
-    kind, fields = d["_pending"]
-    if kind == "unsorted_fields":
-        fields.sort()
-        d["_pending"] = ("fields", fields)
-    return fields
-
-
 def _materialize_events(schedule: Schedule) -> Tuple[CommEvent, ...]:
-    """Build the event tuple of a lazily-constructed schedule.
+    """Build the event tuple of a column-built schedule.
 
-    Its ``_pending`` raw form is ``("fields", [(start, src, dst,
-    duration, size), ...])`` (sorted tuples), ``("unsorted_fields",
-    [...])`` (same tuples in arbitrary order, sorted on first access),
-    ``("columns", (starts, srcs, dsts, durations, sizes))`` (presorted
-    parallel numpy arrays), or ``("unsorted_columns", ...)`` (same
-    arrays in arbitrary order, permuted by :func:`event_order` here).
-    Events are built by populating the instance dict directly: the
-    frozen-dataclass ``__setattr__`` and per-field validation are
-    bypassed by the trusted constructors' contract.
+    The columns are permuted into event order by :func:`event_order`
+    first when they arrived unsorted.  Events are built by populating
+    the instance dict directly: the frozen-dataclass ``__setattr__`` and
+    per-field validation are bypassed by the trusted constructors'
+    contract.
     """
-    kind, data = schedule.__dict__["_pending"]
-    if kind.endswith("columns"):
-        order = event_order(schedule)
-        if order is not None:
-            data = tuple(column[order] for column in data)
-        rows = zip(*(column.tolist() for column in data))
-    else:
-        rows = _sorted_fields(schedule)
+    columns = schedule.__dict__[_RAW_KEY][1]
+    order = event_order(schedule)
+    if order is not None:
+        columns = tuple(column[order] for column in columns)
+    rows = zip(*(column.tolist() for column in columns))
     new = object.__new__
     events = []
     append = events.append
@@ -350,27 +313,11 @@ def _materialize_events(schedule: Schedule) -> Tuple[CommEvent, ...]:
     return tuple(events)
 
 
-def schedule_from_fields(num_procs: int, fields: List[Tuple]) -> Schedule:
-    """Trusted lazy construction from event field tuples in any order.
-
-    ``fields`` holds ``(start, src, dst, duration, size)`` tuples — the
-    exact field order of :class:`CommEvent`, so tuple lexicographic
-    order equals event order.  The list is sorted in place when a
-    reader first needs event order (``events``,
-    :meth:`Schedule.send_orders`, :func:`event_columns`).  Schedulers
-    that emit events in pick order (open shop) use this so callers that
-    only score the schedule — ``completion_time`` needs one max, not an
-    ordering — never pay for the sort.
-
-    Caller contract (checked only by the golden-equivalence tests, not
-    here): indices lie in ``[0, num_procs)``, starts/durations are
-    non-negative, and no ``(src, dst)`` pair repeats.  Anything else
-    produces a schedule that violates the class invariants.
-    """
+def _from_columns(num_procs: int, presorted: bool, columns: Tuple) -> Schedule:
     schedule = object.__new__(Schedule)
     d = schedule.__dict__
     d["num_procs"] = num_procs
-    d["_pending"] = ("unsorted_fields", fields)
+    d[_RAW_KEY] = (presorted, columns)
     return schedule
 
 
@@ -384,18 +331,21 @@ def schedule_from_columns(
 ) -> Schedule:
     """Trusted lazy construction from presorted parallel event columns.
 
-    Same contract as :func:`schedule_from_fields`, but the event data
-    arrives as numpy arrays already ordered by ``(start, src, dst)``.
-    The executors build these columns without any per-event Python
-    object; makespan queries then run vectorized on the columns, and
-    :class:`CommEvent` objects exist only if somebody inspects the
+    The arrays arrive as numpy columns already ordered by ``(start, src,
+    dst)``.  The executors build these columns without any per-event
+    Python object; makespan queries then run vectorized on the columns,
+    and :class:`CommEvent` objects exist only if somebody inspects the
     schedule event by event.
+
+    Caller contract (checked only by the golden-equivalence tests, not
+    here): indices lie in ``[0, num_procs)``, starts/durations are
+    non-negative, no ``(src, dst)`` pair repeats, and nobody mutates the
+    arrays afterwards.  Anything else produces a schedule that violates
+    the class invariants.
     """
-    schedule = object.__new__(Schedule)
-    d = schedule.__dict__
-    d["num_procs"] = num_procs
-    d["_pending"] = ("columns", (starts, srcs, dsts, durations, sizes))
-    return schedule
+    return _from_columns(
+        num_procs, True, (starts, srcs, dsts, durations, sizes)
+    )
 
 
 def schedule_from_unsorted_columns(
@@ -409,18 +359,15 @@ def schedule_from_unsorted_columns(
     """Trusted lazy construction from *unsorted* parallel event columns.
 
     Same contract as :func:`schedule_from_columns` except the arrays may
-    arrive in any order: they are put in ``(start, src, dst)`` order
-    when ``events`` is first materialised.  The hierarchical scheduler
-    emits its spliced events in matrix order; callers that only score
-    the schedule never pay for the sort.
+    arrive in any order: :func:`event_order` gives their permutation
+    into ``(start, src, dst)`` order when a reader first needs it.  Open
+    shop emits its events in pick order and the hierarchical scheduler
+    its spliced events in matrix order; callers that only score the
+    schedule never pay for the sort.
     """
-    schedule = object.__new__(Schedule)
-    d = schedule.__dict__
-    d["num_procs"] = num_procs
-    d["_pending"] = (
-        "unsorted_columns", (starts, srcs, dsts, durations, sizes)
+    return _from_columns(
+        num_procs, False, (starts, srcs, dsts, durations, sizes)
     )
-    return schedule
 
 
 def event_columns(
@@ -428,53 +375,44 @@ def event_columns(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(starts, srcs, dsts, durations)`` as parallel numpy arrays.
 
-    Reads the lazy column form directly when the schedule has one (in
-    its construction order, which for ``unsorted_columns`` is not event
-    order: :func:`event_order` gives the permutation), so column-built
-    schedules never materialise per-event objects.  Columns built from
-    field tuples (sorted in place first) or from event objects are in
-    event order and memoised on the (frozen, hence immutable) schedule:
-    a plan that is delta-repaired on every serving tick is re-read each
-    time, and rebuilding a million-event column set from Python objects
-    costs more than the repair itself.  Callers must not mutate the
-    arrays.
+    Reads a column-built schedule's columns directly, in construction
+    order for its whole life (for unsorted columns not event order:
+    :func:`event_order` gives the permutation), so callers may memoise
+    indices into them.  Columns of a schedule built from event objects
+    are in event order and memoised on the (frozen, hence immutable)
+    schedule: a plan that is re-timed on every serving tick is re-read
+    each time, and rebuilding a million-event column set from Python
+    objects costs more than the re-time itself.  Callers must not
+    mutate the arrays.
     """
-    cached = schedule.__dict__.get("_column_cache")
-    if cached is not None:
-        return cached
-    pending = schedule.__dict__.get("_pending")
-    if pending is not None and pending[0].endswith("columns"):
-        starts, srcs, dsts, durations, _ = pending[1]
+    d = schedule.__dict__
+    raw = d.get(_RAW_KEY)
+    if raw is not None:
+        starts, srcs, dsts, durations, _ = raw[1]
         return (
             np.asarray(starts, dtype=float),
             np.asarray(srcs, dtype=np.intp),
             np.asarray(dsts, dtype=np.intp),
             np.asarray(durations, dtype=float),
         )
-    if "_pending" in schedule.__dict__:
-        fields = _sorted_fields(schedule)
-        columns = (
-            np.array([f[0] for f in fields], dtype=float),
-            np.array([f[1] for f in fields], dtype=np.intp),
-            np.array([f[2] for f in fields], dtype=np.intp),
-            np.array([f[3] for f in fields], dtype=float),
-        )
-    else:
-        events = schedule.events
-        starts = np.fromiter(
-            (e.start for e in events), dtype=float, count=len(events)
-        )
-        srcs = np.fromiter(
-            (e.src for e in events), dtype=np.intp, count=len(events)
-        )
-        dsts = np.fromiter(
-            (e.dst for e in events), dtype=np.intp, count=len(events)
-        )
-        durations = np.fromiter(
-            (e.duration for e in events), dtype=float, count=len(events)
-        )
-        columns = (starts, srcs, dsts, durations)
-    schedule.__dict__["_column_cache"] = columns
+    cached = d.get("_column_cache")
+    if cached is not None:
+        return cached
+    events = schedule.events
+    starts = np.fromiter(
+        (e.start for e in events), dtype=float, count=len(events)
+    )
+    srcs = np.fromiter(
+        (e.src for e in events), dtype=np.intp, count=len(events)
+    )
+    dsts = np.fromiter(
+        (e.dst for e in events), dtype=np.intp, count=len(events)
+    )
+    durations = np.fromiter(
+        (e.duration for e in events), dtype=float, count=len(events)
+    )
+    columns = (starts, srcs, dsts, durations)
+    d["_column_cache"] = columns
     return columns
 
 

@@ -362,6 +362,39 @@ def test_a_cohort_shares_one_cache_shard():
     assert daemon.tenants["e"].profile.cohort != cohort
 
 
+def test_a_cohort_that_overfills_its_shard_evicts_only_there():
+    """A cohort that plans anew on most ticks fills its own shard and
+    evicts there; another cohort's plan, on another shard, stays."""
+    daemon = SchedulerDaemon(
+        DaemonConfig(cache_shards=4, cache_maxsize_per_shard=3)
+    )
+    light = dict(procs=6, directory="static", seed=42)
+    heavy = dict(procs=6, directory="drift:sigma=0.6", seed=2)
+    daemon._open(OpenRequest(tenant="a", **light))
+    daemon._open(OpenRequest(tenant="h", **heavy))
+    light_shard, heavy_shard = (
+        daemon.cache.shard_for(daemon.tenants[t].profile.cohort)
+        for t in ("a", "h")
+    )
+    assert light_shard is not heavy_shard
+    responses = _run_batches(daemon, [["a"]] + [["h"]] * 12)
+    assert sum(r.decision == "reschedule" for r in responses[1:]) > 3
+    assert len(light_shard) == 1
+    assert len(heavy_shard) == heavy_shard.maxsize  # evicted to its bound
+    # a newcomer to each cohort plans its cohort's first problem: the
+    # light shard still holds it, the heavy shard evicted it
+    daemon._open(OpenRequest(tenant="a2", **light))
+    daemon._open(OpenRequest(tenant="h2", **heavy))
+    responses += _run_batches(daemon, [["a2"], ["h2"]])
+    assert [r.cache_hit for r in responses[-2:]] == [True, False]
+    shards = [shard.stats() for shard in daemon.cache._shards]
+    totals = daemon.cache.stats()
+    for key in ("hits", "misses", "entries"):
+        assert totals[key] == sum(s[key] for s in shards)
+    assert totals["entries"] == len(light_shard) + len(heavy_shard)
+    assert totals["hits"] == sum(r.cache_hit for r in responses)
+
+
 def test_cohort_split_across_batches_shares_its_plan():
     daemon = _in_process_daemon(COHORT, procs=6, seed=42)
     responses = _run_batches(daemon, [COHORT[:2], COHORT[2:]])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.openshop import schedule_openshop
+from repro.core.problem import TotalExchangeProblem
 from repro.sim.engine import execute_orders_on_cost
 from repro.timing.events import (
     CommEvent,
@@ -11,7 +13,6 @@ from repro.timing.events import (
     event_order,
     merge_schedules,
     schedule_from_columns,
-    schedule_from_fields,
     schedule_from_unsorted_columns,
 )
 from repro.timing.validate import check_schedule
@@ -175,34 +176,43 @@ def _columns(rows):
     )
 
 
-def _executed():
+def _matrices():
+    """``_ROWS``' durations and sizes as ``[src, dst]`` matrices."""
     cost = np.zeros((4, 4))
     sizes = np.zeros((4, 4))
     for _, src, dst, duration, size in _ROWS:
         cost[src, dst] = duration
         sizes[src, dst] = size
+    return cost, sizes
+
+
+def _executed():
     orders = [[0, 3, 1, 2], [2, 3, 0], [3, 1, 0], []]
+    cost, sizes = _matrices()
     return execute_orders_on_cost(cost, orders, sizes=sizes)
 
 
-#: The lazy kinds: unsorted fields (sorted in place by the first
-#: reader, which leaves the sorted-fields kind), sorted columns,
-#: unsorted columns, and the FIFO executor's output.
+def _openshop():
+    cost, sizes = _matrices()
+    return schedule_openshop(TotalExchangeProblem(cost=cost, sizes=sizes))
+
+
+#: The column-built kinds: sorted columns, unsorted columns, the FIFO
+#: executor's output (sorted) and open shop's (unsorted, in pick order).
 LAZY_BUILDERS = {
-    "fields": lambda: schedule_from_fields(4, _shuffled_rows(1)),
     "columns": lambda: schedule_from_columns(4, *_columns(sorted(_ROWS))),
     "unsorted_columns": lambda: schedule_from_unsorted_columns(
         4, *_columns(_shuffled_rows(2))
     ),
     "executor": _executed,
+    "openshop": _openshop,
 }
 
 
 def _answers(schedule):
     """What the serving-path readers report, with the columns also put
-    in canonical order by ``event_order``: unsorted columns report
-    construction order until ``events`` is read and event order
-    afterwards."""
+    in canonical order by ``event_order``: column-built schedules report
+    construction order for their whole life."""
     columns = event_columns(schedule)
     order = event_order(schedule)
     if order is not None:
@@ -218,42 +228,38 @@ def _answers(schedule):
 class TestLazyScheduleEdgeCases:
     """Degenerate inputs to the trusted lazy constructors."""
 
-    def test_empty_fields(self):
-        s = schedule_from_fields(3, [])
-        assert len(s) == 0
-        assert s.completion_time == 0.0
-        assert s.send_orders() == [[], [], []]
-        assert s.events == ()
-        # Still consistent after materialization.
-        assert len(s) == 0
-        assert s.completion_time == 0.0
-
     def test_empty_columns(self):
         empty = np.array([])
-        s = schedule_from_columns(
-            2,
-            empty,
-            empty.astype(np.intp),
-            empty.astype(np.intp),
-            empty,
-            empty,
-        )
-        assert len(s) == 0
-        assert s.completion_time == 0.0
-        assert s.events == ()
+        for build in (schedule_from_columns, schedule_from_unsorted_columns):
+            s = build(
+                3,
+                empty,
+                empty.astype(np.intp),
+                empty.astype(np.intp),
+                empty,
+                empty,
+            )
+            assert len(s) == 0
+            assert s.completion_time == 0.0
+            assert s.send_orders() == [[], [], []]
+            assert s.events == ()
+            # Still consistent after materialization.
+            assert len(s) == 0
+            assert s.completion_time == 0.0
+            assert s.send_orders() == [[], [], []]
 
     def test_zero_duration_markers_only(self):
-        fields = [(0.0, 1, 0, 0.0, 0.0), (0.0, 0, 1, 0.0, 0.0)]
-        s = schedule_from_fields(2, fields)
+        rows = [(0.0, 1, 0, 0.0, 0.0), (0.0, 0, 1, 0.0, 0.0)]
+        s = schedule_from_unsorted_columns(2, *_columns(rows))
         assert s.completion_time == 0.0
         assert len(s) == 2
         assert all(e.duration == 0.0 for e in s)
         check_schedule(s)  # markers never conflict
 
     def test_materialization_is_idempotent_and_cached(self):
-        fields = [(1.0, 0, 1, 2.0, 0.0), (0.0, 1, 0, 0.5, 0.0)]
-        s = schedule_from_fields(2, list(fields))
-        assert len(s) == 2  # pre-materialization, straight off the fields
+        rows = [(1.0, 0, 1, 2.0, 0.0), (0.0, 1, 0, 0.5, 0.0)]
+        s = schedule_from_unsorted_columns(2, *_columns(rows))
+        assert len(s) == 2  # pre-materialization, straight off the columns
         first = s.events
         assert s.events is first  # cached tuple, not rebuilt
         assert [e.start for e in first] == [0.0, 1.0]  # sorted on access
@@ -261,16 +267,17 @@ class TestLazyScheduleEdgeCases:
         assert s.completion_time == pytest.approx(3.0)
 
     def test_lazy_equals_eager(self):
-        fields = [(3.0, 0, 1, 1.0, 0.0), (0.0, 1, 0, 2.0, 0.0)]
-        lazy = schedule_from_fields(2, list(fields))
+        rows = [(3.0, 0, 1, 1.0, 0.0), (0.0, 1, 0, 2.0, 0.0)]
+        lazy = schedule_from_unsorted_columns(2, *_columns(rows))
         eager = Schedule.from_events(
             2,
             [
                 ev(start, src, dst, duration, size)
-                for start, src, dst, duration, size in fields
+                for start, src, dst, duration, size in rows
             ],
         )
         assert lazy == eager
+        assert hash(lazy) == hash(eager)
         assert lazy.completion_time == eager.completion_time
 
     @pytest.mark.parametrize("kind", sorted(LAZY_BUILDERS))
@@ -289,18 +296,20 @@ class TestLazyScheduleEdgeCases:
             [e.dst for e in events if e.src == src] for src in range(4)
         ]
 
-    def test_event_order_is_memoised_until_materialisation(self):
+    def test_event_order_is_memoised_for_the_schedules_life(self):
         lazy = LAZY_BUILDERS["unsorted_columns"]()
-        starts, srcs, dsts, _ = event_columns(lazy)
+        columns = event_columns(lazy)
+        starts, srcs, dsts, _ = columns
         order = event_order(lazy)
         np.testing.assert_array_equal(
             order, np.lexsort((dsts, srcs, starts))
         )
         assert event_order(lazy) is order
         lazy.events
-        # event_columns now reports event order; the permutation is gone
-        assert event_order(lazy) is None
-        assert "_event_order" not in lazy.__dict__
-        for kind in ("fields", "columns", "executor"):
+        # reading the events keeps the columns and their permutation
+        assert event_order(lazy) is order
+        for ours, theirs in zip(event_columns(lazy), columns):
+            assert ours is theirs
+        for kind in ("columns", "executor"):
             assert event_order(LAZY_BUILDERS[kind]()) is None
-
+        assert event_order(LAZY_BUILDERS["openshop"]()) is not None

@@ -90,6 +90,16 @@ def test_zero_cost_pairs_present_as_markers():
     assert pairs >= expected
 
 
+def test_negative_zero_cost_gives_a_positive_zero_marker():
+    cost = np.array([[0.0, -0.0, 1.0], [2.0, 0.0, -0.0], [0.0, 3.0, 0.0]])
+    schedule = schedule_openshop(TotalExchangeProblem(cost=cost))
+    markers = [e for e in schedule if e.duration == 0.0]
+    assert {(e.src, e.dst) for e in markers} == {(0, 1), (1, 2), (2, 0)}
+    # +0.0, not -0.0: the sign bit would change the schedule's digest
+    assert all(np.copysign(1.0, e.duration) == 1.0 for e in markers)
+    check_schedule(schedule, cost)
+
+
 def test_single_processor():
     problem = TotalExchangeProblem(cost=np.zeros((1, 1)))
     assert schedule_openshop(problem).completion_time == 0.0

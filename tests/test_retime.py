@@ -9,6 +9,7 @@
   FIFO, ``predicted == executed`` on noise-free directories, continuous
   under tiny noise, and a fresh open-shop plan needs no executor run.
 * A splitting scheduler's pieces are served at their own cost.
+* Reading a plan's ``events`` changes none of its later re-timings.
 """
 
 from collections import Counter
@@ -31,6 +32,7 @@ from repro.directory.service import DirectorySnapshot
 from repro.network.generators import clustered_pairwise_parameters
 from repro.runtime import session as session_mod
 from repro.runtime.session import AdaptiveSession, serve_plan
+from repro.serve.state import session_state
 from repro.serve.tenants import TenantProfile, TenantState
 from repro.sim.engine import execute_orders, execute_orders_on_cost
 from repro.sim.replay import (
@@ -327,6 +329,60 @@ class TestServingRule:
             event = session.tick(dt=1.0 if k else 0.0).event
             assert event.decision == "reschedule"
             assert event.predicted_makespan == event.executed_makespan
+
+
+def _columns_digest(schedule):
+    """The schedule's columns in event order, read without building its
+    ``events``."""
+    return b"".join(c.tobytes() for c in _sorted_columns(schedule))
+
+
+class TestReadingEventsKeepsTheMemo:
+    """The re-timer memoises indices into a plan's columns, so reading
+    the plan's ``events`` must leave the columns and their order as
+    they were."""
+
+    @pytest.mark.parametrize("n", [8, 100])  # 100: the level pass
+    def test_a_retime_after_reading_events_is_unchanged(self, n):
+        rng = np.random.default_rng(n)
+        cost = rng.uniform(0.5, 5.0, (n, n))
+        np.fill_diagonal(cost, 0.0)
+        problem = TotalExchangeProblem(cost=cost)
+        drifts = [
+            TotalExchangeProblem(cost=cost * rng.uniform(0.5, 1.5, (n, n)))
+            for _ in range(3)
+        ]
+        read, unread = (
+            _shuffled(schedule_openshop(problem), seed=n) for _ in range(2)
+        )
+        for plan in (read, unread):
+            for drift in drifts[:2]:
+                repair_schedule_delta(plan, cost, drift, validate=False)
+        read.events
+        ours, theirs = (
+            repair_schedule_delta(plan, cost, drifts[2], validate=False)
+            for plan in (read, unread)
+        )
+        check_schedule(ours.schedule, drifts[2].cost)
+        assert _columns_digest(ours.schedule) == (
+            _columns_digest(theirs.schedule)
+        )
+        assert (ours.fifo, ours.reinserted) == (theirs.fifo, theirs.reinserted)
+        same = repair_schedule_delta(read, cost, problem, validate=False)
+        assert same.identical and same.fifo
+
+    def test_a_mid_run_snapshot_changes_no_later_tick(self):
+        ticks = 10
+        control, snapped = _storm_session(ticks), _storm_session(ticks)
+        for k in range(ticks):
+            dt = 1.0 if k else 0.0
+            ours, theirs = snapped.tick(dt=dt), control.tick(dt=dt)
+            assert ours.decision == theirs.decision
+            assert _columns_digest(ours.schedule) == (
+                _columns_digest(theirs.schedule)
+            )
+            if k == 6:
+                session_state(snapped)  # reads the plan's events
 
 
 class TestSplittingSchedulers:
