@@ -228,6 +228,21 @@ def _answers(schedule):
 class TestLazyScheduleEdgeCases:
     """Degenerate inputs to the trusted lazy constructors."""
 
+    def test_empty_fields(self):
+        # open shop's raw form with nothing to pick: a one-processor
+        # problem writes empty unsorted columns
+        s = schedule_openshop(TotalExchangeProblem(cost=np.zeros((1, 1))))
+        assert len(s) == 0
+        assert s.completion_time == 0.0
+        assert s.send_orders() == [[]]
+        assert [c.size for c in event_columns(s)] == [0, 0, 0, 0]
+        assert s.events == ()
+        # Still consistent after materialization.
+        assert len(s) == 0
+        assert s.completion_time == 0.0
+        assert s.send_orders() == [[]]
+        check_schedule(s)
+
     def test_empty_columns(self):
         empty = np.array([])
         for build in (schedule_from_columns, schedule_from_unsorted_columns):
