@@ -1252,12 +1252,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--refine-threshold", type=float, default=0.25,
-        help="drift at or above this forces a full reschedule",
+        help="drift at or above this repairs the plan when the drift is "
+             "localised and reschedules it otherwise",
     )
     p_serve.add_argument(
         "--max-reuse-ticks", type=int, default=None,
         help="staleness cap on consecutive reuses "
-             "(default: 8; 3 with --smoke)",
+             "(default: 8; 2 with --smoke)",
     )
     p_serve.add_argument(
         "--deadline", type=float, default=5.0,

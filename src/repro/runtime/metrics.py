@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Deque, Dict, List, Mapping, Optional, Union
 
 from repro.ops.sink import Counter, MetricsSink
+from repro.util.stats import percentile
 
 #: Trace timestamps are microseconds (matches :mod:`repro.io.trace`).
 _US = 1e6
@@ -67,13 +68,7 @@ class Histogram:
         """Approximate percentile over the retained recent samples."""
         if not (0.0 <= q <= 100.0):
             raise ValueError(f"q must be in [0, 100], got {q}")
-        if not self._recent:
-            return 0.0
-        ordered = sorted(self._recent)
-        index = min(
-            len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1)))
-        )
-        return ordered[index]
+        return percentile(self._recent, q)
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -105,11 +100,12 @@ class TickEvent:
     drift:
         Mean relative cost change against the active plan's basis.
     predicted_makespan:
-        The active plan's completion time under the costs it was
-        planned for.
+        The served schedule's completion time under the tick's planning
+        costs (the directory snapshot the tick decided on): the better
+        of the plan's strict re-timing and its FIFO execution.
     executed_makespan:
-        The plan's completion time re-executed under the tick's actual
-        costs.
+        The served schedule's completion time re-executed under the
+        tick's actual costs.
     regret:
         ``executed - predicted`` seconds (positive: reality was worse
         than the plan promised).

@@ -82,11 +82,9 @@ class _Plan:
 
     orders: SendOrders
     basis_cost: np.ndarray  # the costs the orders were computed/refined for
-    predicted_makespan: float  # completion under the basis costs
-    #: The plan as an event schedule under the basis costs — every tick
-    #: re-times it; ``None`` leaves only the FIFO execution of the
-    #: orders and disables the repair tier.
-    schedule: Optional[Schedule] = None
+    #: The plan as an event schedule under the basis costs: every tick
+    #: re-times it, and the repair tier patches it.
+    schedule: Schedule
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ class Served:
 
 
 def serve_plan(
-    schedule: Optional[Schedule],
+    schedule: Schedule,
     orders: SendOrders,
     basis_cost: np.ndarray,
     planning: TotalExchangeProblem,
@@ -121,7 +119,7 @@ def serve_plan(
     separate ``actual`` problem, the chosen discipline runs again under
     its costs.
     """
-    if retimed is None and schedule is not None:
+    if retimed is None:
         retimed = repair_plan(
             schedule, basis_cost, planning, scheduler=scheduler,
             validate=False,
@@ -417,11 +415,7 @@ class AdaptiveSession:
                 config=self.policy,
                 reuse_streak=self._reuse_streak,
                 ticks_since_reschedule=self._ticks_since_reschedule,
-                # The repair tier needs an event schedule to patch;
-                # plans without one fall back to the three-tier ladder.
-                dirty_fraction=(
-                    dirty if self._plan.schedule is not None else None
-                ),
+                dirty_fraction=dirty,
             )
         if self._tick_index in self._force_timeout_ticks:
             decision = RESCHEDULE
@@ -492,7 +486,6 @@ class AdaptiveSession:
             self._plan = _Plan(
                 orders=schedule.send_orders(),
                 basis_cost=planning.cost,
-                predicted_makespan=schedule.completion_time,
                 schedule=schedule,
             )
             self._ticks_since_reschedule = 0
@@ -513,7 +506,6 @@ class AdaptiveSession:
             self._plan = _Plan(
                 orders=result.orders,
                 basis_cost=planning.cost,
-                predicted_makespan=result.completion_time,
                 schedule=result.schedule,
             )
             # The refine's own execution is FIFO's answer for its orders
@@ -645,7 +637,6 @@ class AdaptiveSession:
             self._plan = _Plan(
                 orders=planned_schedule.send_orders(),
                 basis_cost=planning.cost,
-                predicted_makespan=planned_schedule.completion_time,
                 schedule=planned_schedule,
             )
         self._ticks_since_reschedule = 0

@@ -33,6 +33,7 @@ from repro.serve.protocol import (
     StatsResponse,
     encode_message,
 )
+from repro.util.stats import percentile
 
 
 class DaemonClient:
@@ -213,16 +214,6 @@ class LoadReport:
         }
 
 
-def _percentile(samples: Sequence[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(
-        len(ordered) - 1, max(0, round(q / 100.0 * (len(ordered) - 1)))
-    )
-    return ordered[index]
-
-
 class LoadGenerator:
     """Closed-loop multi-tenant load against one daemon.
 
@@ -399,10 +390,10 @@ class LoadGenerator:
             dropped=dropped,
             errors=errors,
             requests_per_s=accepted / elapsed,
-            decision_p50_s=_percentile(decision_latencies, 50.0),
-            decision_p99_s=_percentile(decision_latencies, 99.0),
-            latency_p50_s=_percentile(wire_latencies, 50.0),
-            latency_p99_s=_percentile(wire_latencies, 99.0),
+            decision_p50_s=percentile(decision_latencies, 50.0),
+            decision_p99_s=percentile(decision_latencies, 99.0),
+            latency_p50_s=percentile(wire_latencies, 50.0),
+            latency_p99_s=percentile(wire_latencies, 99.0),
             decisions=decisions,
             batched=batched,
             cache_hits=cache_hits,

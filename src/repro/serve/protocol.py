@@ -389,15 +389,6 @@ def encode_message(message: Any) -> bytes:
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def error_line(
-    code: str, message: str, *, retry_after_s: Optional[float] = None
-) -> bytes:
-    """Shorthand: an encoded :class:`ErrorResponse` line."""
-    return encode_message(
-        ErrorResponse(code=code, message=message, retry_after_s=retry_after_s)
-    )
-
-
 def request_types() -> Tuple[str, ...]:
     """Registered request type tags (stable order)."""
     return tuple(_REQUEST_TYPES)

@@ -3,7 +3,7 @@
 :func:`session_state` captures everything an
 :class:`~repro.runtime.session.AdaptiveSession` needs to keep making
 the *same* decisions after a process boundary: the active plan (orders,
-basis cost, predicted makespan, repairable event schedule), the policy
+basis cost, repairable event schedule), the policy
 counters (tick index, reuse streak, plan age), and the fault-tracking
 state (declared-dead link mask, last fault-scan time, faults already
 counted).  :func:`restore_session_state` writes that state back into a
@@ -48,12 +48,7 @@ def _plan_state(plan: Optional[_Plan]) -> Optional[Dict[str, Any]]:
     return {
         "orders": [list(map(int, order)) for order in plan.orders],
         "basis_cost": np.asarray(plan.basis_cost, dtype=float).tolist(),
-        "predicted_makespan": float(plan.predicted_makespan),
-        "schedule": (
-            schedule_to_dict(plan.schedule)
-            if plan.schedule is not None
-            else None
-        ),
+        "schedule": schedule_to_dict(plan.schedule),
     }
 
 
@@ -67,35 +62,27 @@ def _plan_from_state(
     n = session._sizes.shape[0]
     basis = check_square_matrix("basis", state["basis_cost"], nonnegative=True)
     basis.flags.writeable = False
-    predicted = float(state["predicted_makespan"])
     orders = [list(map(int, order)) for order in state["orders"]]
     schedule = state.get("schedule")
     schedule = None if schedule is None else schedule_from_dict(schedule)
     # Ticks execute the orders and re-time the schedule, so sender by
     # sender both dispatch the same events (a splitting scheduler
-    # repeats a pair; a degraded tick may leave one out).
+    # repeats a pair; a degraded tick may leave one out).  The session
+    # never writes a plan without its schedule.
     if (
         basis.shape != (n, n)
-        or not 0 <= predicted < float("inf")
         or len(orders) != n
         or not all(0 <= dst < n for order in orders for dst in order)
-        or schedule is not None and (
-            schedule.num_procs != n
-            or [sorted(order) for order in orders]
-            != [sorted(order) for order in schedule.send_orders()]
-        )
+        or schedule is None
+        or schedule.num_procs != n
+        or [sorted(order) for order in orders]
+        != [sorted(order) for order in schedule.send_orders()]
     ):
         raise ValueError(
-            f"not a plan over {n} processors: it needs a {n}x{n} basis, a "
-            f"finite predicted makespan >= 0 and send orders over [0, {n}) "
-            "that dispatch its schedule's events"
+            f"not a plan over {n} processors: it needs a {n}x{n} basis, "
+            f"send orders over [0, {n}) and the schedule they dispatch"
         )
-    return _Plan(
-        orders=orders,
-        basis_cost=basis,
-        predicted_makespan=predicted,
-        schedule=schedule,
-    )
+    return _Plan(orders=orders, basis_cost=basis, schedule=schedule)
 
 
 def _fault_state(fault: Any) -> Dict[str, Any]:

@@ -31,7 +31,6 @@ from repro.sim.replay import (
     DriftTrace,
     TraceDirectory,
     drift_storm_trace,
-    evaluate_orders_under,
     planned_vs_actual,
     replay_schedule,
     synthetic_drift_trace,
@@ -48,7 +47,6 @@ __all__ = [
     "TraceDirectory",
     "check_orders",
     "drift_storm_trace",
-    "evaluate_orders_under",
     "execute_orders",
     "execute_orders_buffered",
     "execute_orders_interleaved",

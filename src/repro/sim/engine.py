@@ -20,9 +20,12 @@ The executors are the innermost hot path of every sweep and of every
 serving tick, so none of them builds a per-event Python object: the
 event-driven executor runs its FIFO loop over flat Python lists and
 writes bare start times, while the step executors relax whole steps at
-a time with vectorized ``maximum`` updates.  All of them emit column
-arrays in ``(start, src, dst)`` order straight into a
-lazily-materialised schedule.  ``tests/test_golden_equivalence.py`` and
+a time with vectorized ``maximum`` updates.  All of them hand their
+column arrays, in the order they built them (sender by sender, or step
+by step), straight to a lazily-materialised schedule, which sorts them
+into ``(start, src, dst)`` order only if a reader needs that order
+(:func:`repro.timing.events.event_order`); a serving tick that only
+reads the makespan never does.  ``tests/test_golden_equivalence.py`` and
 ``tests/test_properties.py`` pin these kernels to the seed
 implementations preserved in :mod:`repro.perf.reference`.
 """
@@ -36,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.problem import TotalExchangeProblem
-from repro.timing.events import Schedule, schedule_from_columns
+from repro.timing.events import Schedule, schedule_from_unsorted_columns
 from repro.util.validation import check_square_matrix
 
 #: Per-sender destination lists, in dispatch order.
@@ -190,7 +193,13 @@ def _execute_orders(cost, orders, sizes, validate) -> Schedule:
         clock = np.zeros(markers.size)
         clock[dispatched] = chain_starts[previous] + chain_durations[previous]
         starts[markers] = clock
-    return _sorted_schedule(n, starts, srcs, dsts, durations, sizes)
+    event_sizes = (
+        np.zeros(total) if sizes is None
+        else np.asarray(sizes, dtype=float)[srcs, dsts]
+    )
+    return schedule_from_unsorted_columns(
+        n, starts, srcs, dsts, durations, event_sizes
+    )
 
 
 def execute_orders(
@@ -250,43 +259,24 @@ def _columns_schedule(
     duration_parts: List[np.ndarray],
     sizes: Optional[np.ndarray],
 ) -> Schedule:
-    """Assemble per-step event columns into a (lazy) sorted schedule."""
+    """Assemble per-step event columns, step by step, into a lazy
+    schedule."""
     if not starts_parts:
         return Schedule(num_procs=n)
-    return _sorted_schedule(
+    srcs = np.concatenate(srcs_parts)
+    dsts = np.concatenate(dsts_parts)
+    event_sizes = (
+        np.zeros(len(srcs)) if sizes is None
+        else np.asarray(sizes, dtype=float)[srcs, dsts]
+    )
+    return schedule_from_unsorted_columns(
         n,
         np.concatenate(starts_parts),
-        np.concatenate(srcs_parts),
-        np.concatenate(dsts_parts),
+        srcs,
+        dsts,
         np.concatenate(duration_parts),
-        sizes,
+        event_sizes,
     )
-
-
-def _sorted_schedule(
-    n: int,
-    starts: np.ndarray,
-    srcs: np.ndarray,
-    dsts: np.ndarray,
-    durations: np.ndarray,
-    sizes: Optional[np.ndarray],
-) -> Schedule:
-    """A lazy schedule over event columns, put in event order first.
-
-    ``lexsort`` on ``(start, src, dst)`` reproduces the event tuple
-    order exactly: a (src, dst) pair occurs at most once per schedule,
-    so the remaining fields can never influence the sort.
-    """
-    order = np.lexsort((dsts, srcs, starts))
-    starts = starts[order]
-    srcs = srcs[order]
-    dsts = dsts[order]
-    durations = durations[order]
-    if sizes is not None:
-        event_sizes = np.asarray(sizes, dtype=float)[srcs, dsts]
-    else:
-        event_sizes = np.zeros(len(starts))
-    return schedule_from_columns(n, starts, srcs, dsts, durations, event_sizes)
 
 
 def execute_steps_strict(

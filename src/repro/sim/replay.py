@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -79,14 +79,6 @@ class ReplayResult:
         if self.planned_time == 0:
             return 1.0 if self.actual_time == 0 else float("inf")
         return self.actual_time / self.planned_time
-
-
-def evaluate_orders_under(
-    planned: Schedule,
-    actual: TotalExchangeProblem,
-) -> Schedule:
-    """Alias of :func:`replay_schedule` (kept for API symmetry)."""
-    return replay_schedule(planned, actual)
 
 
 def planned_vs_actual(

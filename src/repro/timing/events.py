@@ -76,19 +76,21 @@ class Schedule:
     Instances are immutable; the event tuple is stored sorted so equal
     schedules compare equal regardless of construction order.
 
-    Schedules built by the trusted constructors
-    (:func:`schedule_from_columns`, :func:`schedule_from_unsorted_columns`)
-    hold their event data as parallel numpy columns and materialise the
-    :class:`CommEvent` tuple only when ``events`` is first read.  All
-    behaviour is unchanged — equality, iteration, hashing and every
-    accessor see the same tuple — but the serving-path readers
-    (:attr:`completion_time`, ``len``, :meth:`send_orders`,
-    :func:`event_columns`) read the columns directly, so a serving tick
-    or a sweep that only scores schedules never pays the per-event
-    object cost.  The columns outlive a read of ``events``: readers
-    (and what they memoise on the schedule, such as
-    :func:`event_order`) see the same arrays for the schedule's whole
-    life.
+    Schedules built by the trusted constructor
+    (:func:`schedule_from_unsorted_columns`) hold their event data as
+    parallel numpy columns, in the order their producer built them, and
+    materialise the :class:`CommEvent` tuple only when ``events`` is
+    first read.  All behaviour is unchanged — equality, iteration,
+    hashing and every accessor see the same tuple — but the
+    serving-path readers (:attr:`completion_time`, ``len``,
+    :func:`event_columns`) read the columns directly and need no event
+    order, so a serving tick or a sweep that only scores schedules
+    never pays the per-event object cost or the sort.  Readers that do
+    need ``(start, src, dst)`` order (:meth:`send_orders`,
+    materialisation, the re-timer) share one permutation from
+    :func:`event_order`.  The columns outlive a read of ``events``:
+    readers (and what they memoise on the schedule) see the same arrays
+    for the schedule's whole life.
     """
 
     num_procs: int
@@ -130,7 +132,7 @@ class Schedule:
     def __len__(self) -> int:
         raw = self.__dict__.get(_RAW_KEY)
         if raw is not None:
-            return len(raw[1][0])
+            return len(raw[0])
         return len(self.events)
 
     @property
@@ -150,7 +152,7 @@ class Schedule:
                 (event.finish for event in self.events), default=0.0
             )
         else:
-            starts, _, _, durations, _ = raw[1]
+            starts, _, _, durations, _ = raw
             makespan = (
                 float((starts + durations).max()) if len(starts) else 0.0
             )
@@ -179,9 +181,8 @@ class Schedule:
             return orders
         _, srcs, dsts, _ = event_columns(self)
         order = event_order(self)
-        if order is not None:
-            srcs = srcs[order]
-            dsts = dsts[order]
+        srcs = srcs[order]
+        dsts = dsts[order]
         # Group the canonically ordered destinations by sender; the
         # stable sort keeps each sender's (start, dst) order.
         by_src = np.argsort(srcs, kind="stable")
@@ -253,33 +254,50 @@ class Schedule:
         )
 
 
-#: Instance-dict key of a column-built schedule's raw form:
-#: ``(presorted, (starts, srcs, dsts, durations, sizes))``.
+#: Instance-dict key of a column-built schedule's raw form: the
+#: columns ``(starts, srcs, dsts, durations, sizes)`` as built.
 _RAW_KEY = "_raw"
 
-#: Instance-dict key of an unsorted-columns schedule's memoised
-#: canonical permutation (see :func:`event_order`).
+#: Instance-dict key of a column-built schedule's memoised canonical
+#: permutation (see :func:`event_order`).
 _EVENT_ORDER_KEY = "_event_order"
 
 
 def event_order(schedule: Schedule) -> Optional[np.ndarray]:
     """Permutation of :func:`event_columns` into ``(start, src, dst)`` order.
 
-    ``None`` when the columns already are in that order: schedules
-    built from events or from presorted columns (the FIFO executor's).
-    Unsorted columns (open shop, hierarchical plans, re-timed outputs)
-    get their permutation computed once and memoised on the (frozen)
-    schedule — one index array, not a sorted copy of the columns — so a
-    plan that is re-read every serving tick pays the sort once.
+    ``None`` for a schedule built from events: its columns are in that
+    order already.  A column-built schedule (open shop, the executors,
+    hierarchical plans, re-timed outputs, the collectives) gets its
+    permutation computed once and memoised on the (frozen) schedule —
+    one index array, not a sorted copy of the columns — so a plan that
+    is re-read every serving tick pays the sort once, and a schedule
+    only ever scored never pays it.
+
+    The permutation is exactly ``np.lexsort((dsts, srcs, starts))``,
+    found with two stable sorts: one of the starts, then one of the
+    int64 key ``(run * n + src) * n + dst``, where ``run`` numbers the
+    runs of equal starts (``-0.0`` equals ``+0.0``; NaNs, sorted last,
+    form one run).  A pair that repeats (a split plan's pieces) at one
+    start keeps its column order.
     """
     d = schedule.__dict__
     raw = d.get(_RAW_KEY)
-    if raw is None or raw[0]:
+    if raw is None:
         return None
     order = d.get(_EVENT_ORDER_KEY)
     if order is None:
-        starts, srcs, dsts = raw[1][:3]
-        order = np.lexsort((dsts, srcs, starts))
+        starts, srcs, dsts = raw[:3]
+        by_start = np.argsort(starts, kind="stable")
+        ordered = starts[by_start]
+        run = np.zeros(len(ordered), dtype=np.int64)
+        np.cumsum(
+            (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1]),
+            out=run[1:],
+        )
+        n = schedule.num_procs
+        key = (run * n + srcs[by_start]) * n + dsts[by_start]
+        order = by_start[np.argsort(key, kind="stable")]
         d[_EVENT_ORDER_KEY] = order
     return order
 
@@ -288,15 +306,12 @@ def _materialize_events(schedule: Schedule) -> Tuple[CommEvent, ...]:
     """Build the event tuple of a column-built schedule.
 
     The columns are permuted into event order by :func:`event_order`
-    first when they arrived unsorted.  Events are built by populating
-    the instance dict directly: the frozen-dataclass ``__setattr__`` and
-    per-field validation are bypassed by the trusted constructors'
-    contract.
+    first.  Events are built by populating the instance dict directly:
+    the frozen-dataclass ``__setattr__`` and per-field validation are
+    bypassed by the trusted constructor's contract.
     """
-    columns = schedule.__dict__[_RAW_KEY][1]
     order = event_order(schedule)
-    if order is not None:
-        columns = tuple(column[order] for column in columns)
+    columns = (column[order] for column in schedule.__dict__[_RAW_KEY])
     rows = zip(*(column.tolist() for column in columns))
     new = object.__new__
     events = []
@@ -313,41 +328,6 @@ def _materialize_events(schedule: Schedule) -> Tuple[CommEvent, ...]:
     return tuple(events)
 
 
-def _from_columns(num_procs: int, presorted: bool, columns: Tuple) -> Schedule:
-    schedule = object.__new__(Schedule)
-    d = schedule.__dict__
-    d["num_procs"] = num_procs
-    d[_RAW_KEY] = (presorted, columns)
-    return schedule
-
-
-def schedule_from_columns(
-    num_procs: int,
-    starts: np.ndarray,
-    srcs: np.ndarray,
-    dsts: np.ndarray,
-    durations: np.ndarray,
-    sizes: np.ndarray,
-) -> Schedule:
-    """Trusted lazy construction from presorted parallel event columns.
-
-    The arrays arrive as numpy columns already ordered by ``(start, src,
-    dst)``.  The executors build these columns without any per-event
-    Python object; makespan queries then run vectorized on the columns,
-    and :class:`CommEvent` objects exist only if somebody inspects the
-    schedule event by event.
-
-    Caller contract (checked only by the golden-equivalence tests, not
-    here): indices lie in ``[0, num_procs)``, starts/durations are
-    non-negative, no ``(src, dst)`` pair repeats, and nobody mutates the
-    arrays afterwards.  Anything else produces a schedule that violates
-    the class invariants.
-    """
-    return _from_columns(
-        num_procs, True, (starts, srcs, dsts, durations, sizes)
-    )
-
-
 def schedule_from_unsorted_columns(
     num_procs: int,
     starts: np.ndarray,
@@ -356,18 +336,26 @@ def schedule_from_unsorted_columns(
     durations: np.ndarray,
     sizes: np.ndarray,
 ) -> Schedule:
-    """Trusted lazy construction from *unsorted* parallel event columns.
+    """Trusted lazy construction from parallel event columns.
 
-    Same contract as :func:`schedule_from_columns` except the arrays may
-    arrive in any order: :func:`event_order` gives their permutation
-    into ``(start, src, dst)`` order when a reader first needs it.  Open
-    shop emits its events in pick order and the hierarchical scheduler
-    its spliced events in matrix order; callers that only score the
-    schedule never pay for the sort.
+    The arrays may arrive in any order — open shop emits its events in
+    pick order, the FIFO executor sender by sender, the step executors
+    step by step — and a ``(src, dst)`` pair may repeat (a split plan's
+    pieces).  :func:`event_order` gives their permutation into
+    ``(start, src, dst)`` order when a reader first needs it; makespan
+    queries run vectorized on the columns, and :class:`CommEvent`
+    objects exist only if somebody inspects the schedule event by event.
+
+    Caller contract (checked only by the golden-equivalence tests, not
+    here): indices lie in ``[0, num_procs)``, starts/durations are
+    non-negative, and nobody mutates the arrays afterwards.  Anything
+    else produces a schedule that violates the class invariants.
     """
-    return _from_columns(
-        num_procs, False, (starts, srcs, dsts, durations, sizes)
-    )
+    schedule = object.__new__(Schedule)
+    d = schedule.__dict__
+    d["num_procs"] = num_procs
+    d[_RAW_KEY] = (starts, srcs, dsts, durations, sizes)
+    return schedule
 
 
 def event_columns(
@@ -376,9 +364,9 @@ def event_columns(
     """``(starts, srcs, dsts, durations)`` as parallel numpy arrays.
 
     Reads a column-built schedule's columns directly, in construction
-    order for its whole life (for unsorted columns not event order:
-    :func:`event_order` gives the permutation), so callers may memoise
-    indices into them.  Columns of a schedule built from event objects
+    order for its whole life (:func:`event_order` gives the permutation
+    into event order), so callers may memoise indices into them.
+    Columns of a schedule built from event objects
     are in event order and memoised on the (frozen, hence immutable)
     schedule: a plan that is re-timed on every serving tick is re-read
     each time, and rebuilding a million-event column set from Python
@@ -388,7 +376,7 @@ def event_columns(
     d = schedule.__dict__
     raw = d.get(_RAW_KEY)
     if raw is not None:
-        starts, srcs, dsts, durations, _ = raw[1]
+        starts, srcs, dsts, durations, _ = raw
         return (
             np.asarray(starts, dtype=float),
             np.asarray(srcs, dtype=np.intp),

@@ -64,15 +64,17 @@ def _port_conflicts(
     An event conflicts when it starts before the latest finish among the
     earlier events on its port (sender ``srcs`` or receiver ``dsts``).
     Events are grouped by port with a stable integer sort (numpy radix),
-    which keeps each group in the caller's order.  For the schedules on
-    the serving hot path — materialised plans (globally start-sorted)
-    and flat delta repairs (per-port time-monotone by construction) —
-    that order is already nondecreasing in time, which the sweep
-    *verifies* rather than assumes.  When some group is genuinely out
-    of order the function returns ``None`` instead: the caller sorts
-    everything by start once (shared between the sender and receiver
-    passes, and cheaper than a per-role float lexsort) and retries with
-    ``presorted=True``.
+    which keeps each group in the caller's order: the columns'
+    construction order.  For event-built schedules (globally
+    start-sorted), re-timed plans and step executions (per-port
+    time-monotone by construction), and the sender side of a FIFO
+    execution (built sender by sender, in dispatch order), that order
+    is already nondecreasing in time, which the sweep *verifies* rather
+    than assumes.  When some group is out of order — a FIFO execution's
+    receivers, an open-shop plan's ports in pick order — the function
+    returns ``None`` instead: the caller sorts everything by start once
+    (shared between the sender and receiver passes, and cheaper than a
+    per-role float lexsort) and retries with ``presorted=True``.
 
     Within a time-ordered group it suffices to compare each event with
     its predecessor to decide whether the port is clean: if every

@@ -9,7 +9,7 @@ so that adding streams never perturbs existing ones.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -54,12 +54,3 @@ def stable_seed(*parts: Union[int, str]) -> int:
         for byte in data:
             acc = ((acc ^ byte) * prime) & 0xFFFF_FFFF_FFFF_FFFF
     return acc & 0x7FFF_FFFF_FFFF_FFFF
-
-
-def optional_choice(
-    rng: np.random.Generator, items: Sequence, size: Optional[int] = None
-):
-    """``rng.choice`` wrapper that tolerates empty ``items`` by returning None."""
-    if len(items) == 0:
-        return None
-    return rng.choice(items, size=size)

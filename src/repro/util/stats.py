@@ -1,8 +1,10 @@
-"""Small statistics helpers for experiment reporting.
+"""Small statistics helpers for experiment reporting and serving.
 
 Sweeps report means; when trials are few, a confidence interval keeps
 readers honest about the noise.  Implemented with Student's t critical
-values (scipy) so there is no normality hand-waving at n = 3.
+values (scipy) so there is no normality hand-waving at n = 3.  The
+serving metrics, the SLO monitor and the load generator share one
+nearest-rank :func:`percentile`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,12 @@ def mean_ci(samples: Sequence[float], *, confidence: float = 0.95) -> MeanCI:
     mean = float(arr.mean())
     if arr.size == 1:
         return MeanCI(mean=mean, half_width=0.0, confidence=confidence, n=1)
+    # imported here: the serving path imports this module for
+    # ``percentile`` and never needs scipy.stats
+    from scipy import stats
+
     sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
-    t_crit = float(_scipy_stats.t.ppf((1 + confidence) / 2, arr.size - 1))
+    t_crit = float(stats.t.ppf((1 + confidence) / 2, arr.size - 1))
     return MeanCI(
         mean=mean,
         half_width=t_crit * sem,
@@ -68,3 +73,14 @@ def geometric_mean(samples: Sequence[float]) -> float:
     if np.any(arr <= 0):
         raise ValueError("geometric mean needs positive samples")
     return float(np.exp(np.log(arr).mean()))
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-th percentile (``q`` in ``[0, 100]``) of
+    ``samples``: the sorted sample at index ``round(q / 100 * (n - 1))``.
+    0.0 when there are no samples."""
+    if not len(samples):
+        return 0.0
+    ordered = sorted(samples)
+    index = round(q / 100.0 * (len(ordered) - 1))
+    return ordered[min(len(ordered) - 1, index)]

@@ -10,14 +10,6 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 
-def _fmt_cell(value, width: int, precision: int) -> str:
-    if isinstance(value, float):
-        text = f"{value:.{precision}f}"
-    else:
-        text = str(value)
-    return text.rjust(width)
-
-
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence],

@@ -553,8 +553,8 @@ def _shrink_the_basis(plan):
     plan["basis_cost"] = [row[:2] for row in plan["basis_cost"][:2]]
 
 
-def _negate_the_prediction(plan):
-    plan["predicted_makespan"] = -1.0
+def _drop_the_schedule(plan):
+    plan["schedule"] = None
 
 
 @pytest.mark.parametrize(
@@ -564,14 +564,14 @@ def _negate_the_prediction(plan):
         _duplicate_a_destination,
         _empty_a_sender,
         _shrink_the_basis,
-        _negate_the_prediction,
+        _drop_the_schedule,
     ],
     ids=[
         "destination-out-of-range",
         "duplicate-destination",
         "empty-sender",
         "basis-2x2",
-        "negative-prediction",
+        "no-schedule",
     ],
 )
 def test_resume_rejects_a_malformed_plan(tmp_path, corrupt):
@@ -581,6 +581,16 @@ def test_resume_rejects_a_malformed_plan(tmp_path, corrupt):
         SchedulerDaemon(
             DaemonConfig(resume_from=_state_file(tmp_path, corrupt))
         )
+
+
+def test_resume_ignores_a_stored_prediction(tmp_path):
+    """Older state files store the plan's predicted makespan; the
+    session no longer keeps one, and such a file still resumes."""
+    path = _state_file(
+        tmp_path, lambda plan: plan.update(predicted_makespan=-1.0)
+    )
+    resumed = SchedulerDaemon(DaemonConfig(resume_from=path))
+    assert resumed.tenants["a"].session._plan is not None
 
 
 def test_resume_freezes_a_checked_plan(tmp_path):

@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.openshop import schedule_openshop
 from repro.core.problem import TotalExchangeProblem
-from repro.sim.engine import execute_orders_on_cost
+from repro.perf.memo import schedule_digest
+from repro.sim.engine import (
+    execute_orders_on_cost,
+    execute_steps_barrier,
+    execute_steps_strict,
+)
 from repro.timing.events import (
     CommEvent,
     Schedule,
     event_columns,
     event_order,
     merge_schedules,
-    schedule_from_columns,
     schedule_from_unsorted_columns,
 )
 from repro.timing.validate import check_schedule
@@ -197,14 +203,36 @@ def _openshop():
     return schedule_openshop(TotalExchangeProblem(cost=cost, sizes=sizes))
 
 
-#: The column-built kinds: sorted columns, unsorted columns, the FIFO
-#: executor's output (sorted) and open shop's (unsorted, in pick order).
+#: ``_ROWS``' pairs as steps: no sender or receiver repeats in a step.
+_STEPS = [
+    [(0, 1), (1, 0), (2, 3)],
+    [(0, 0), (1, 3), (2, 1)],
+    [(0, 3), (2, 0), (1, 2)],
+    [(0, 2)],
+]
+
+
+def _stepped(execute):
+    def build():
+        cost, sizes = _matrices()
+        return execute(cost, _STEPS, sizes=sizes)
+    return build
+
+
+#: The column-built kinds, all through the one constructor: columns in
+#: canonical order, shuffled columns, the FIFO executor's output
+#: (sender by sender), the step executors' (step by step) and open
+#: shop's (in pick order).
 LAZY_BUILDERS = {
-    "columns": lambda: schedule_from_columns(4, *_columns(sorted(_ROWS))),
+    "columns": lambda: schedule_from_unsorted_columns(
+        4, *_columns(sorted(_ROWS))
+    ),
     "unsorted_columns": lambda: schedule_from_unsorted_columns(
         4, *_columns(_shuffled_rows(2))
     ),
     "executor": _executed,
+    "strict": _stepped(execute_steps_strict),
+    "barrier": _stepped(execute_steps_barrier),
     "openshop": _openshop,
 }
 
@@ -245,23 +273,22 @@ class TestLazyScheduleEdgeCases:
 
     def test_empty_columns(self):
         empty = np.array([])
-        for build in (schedule_from_columns, schedule_from_unsorted_columns):
-            s = build(
-                3,
-                empty,
-                empty.astype(np.intp),
-                empty.astype(np.intp),
-                empty,
-                empty,
-            )
-            assert len(s) == 0
-            assert s.completion_time == 0.0
-            assert s.send_orders() == [[], [], []]
-            assert s.events == ()
-            # Still consistent after materialization.
-            assert len(s) == 0
-            assert s.completion_time == 0.0
-            assert s.send_orders() == [[], [], []]
+        s = schedule_from_unsorted_columns(
+            3,
+            empty,
+            empty.astype(np.intp),
+            empty.astype(np.intp),
+            empty,
+            empty,
+        )
+        assert len(s) == 0
+        assert s.completion_time == 0.0
+        assert s.send_orders() == [[], [], []]
+        assert s.events == ()
+        # Still consistent after materialization.
+        assert len(s) == 0
+        assert s.completion_time == 0.0
+        assert s.send_orders() == [[], [], []]
 
     def test_zero_duration_markers_only(self):
         rows = [(0.0, 1, 0, 0.0, 0.0), (0.0, 0, 1, 0.0, 0.0)]
@@ -314,17 +341,73 @@ class TestLazyScheduleEdgeCases:
     def test_event_order_is_memoised_for_the_schedules_life(self):
         lazy = LAZY_BUILDERS["unsorted_columns"]()
         columns = event_columns(lazy)
-        starts, srcs, dsts, _ = columns
         order = event_order(lazy)
-        np.testing.assert_array_equal(
-            order, np.lexsort((dsts, srcs, starts))
-        )
         assert event_order(lazy) is order
         lazy.events
         # reading the events keeps the columns and their permutation
         assert event_order(lazy) is order
         for ours, theirs in zip(event_columns(lazy), columns):
             assert ours is theirs
-        for kind in ("columns", "executor"):
-            assert event_order(LAZY_BUILDERS[kind]()) is None
-        assert event_order(LAZY_BUILDERS["openshop"]()) is not None
+        for kind, build in LAZY_BUILDERS.items():
+            schedule = build()
+            starts, srcs, dsts, _ = event_columns(schedule)
+            np.testing.assert_array_equal(
+                event_order(schedule),
+                np.lexsort((dsts, srcs, starts)),
+                err_msg=kind,
+            )
+        assert event_order(Schedule.from_events(4, lazy.events)) is None
+
+    def test_an_execution_is_scored_without_an_event_order(self):
+        executed = _executed()
+        starts, srcs, dsts, durations = event_columns(executed)
+        assert len(executed) == len(_ROWS)
+        assert executed.completion_time == (starts + durations).max()
+        # the executor's columns stay sender by sender: not yet sorted
+        assert srcs.tolist() == sorted(srcs.tolist())
+        assert "_event_order" not in executed.__dict__
+        order = np.lexsort((dsts, srcs, starts))
+        sizes = _matrices()[1][srcs, dsts]
+        in_order = schedule_from_unsorted_columns(
+            4, *(column[order] for column in (
+                starts, srcs, dsts, durations, sizes
+            ))
+        )
+        assert executed.send_orders() == in_order.send_orders()
+        assert executed.events == in_order.events
+        assert schedule_digest(executed) == schedule_digest(in_order)
+
+
+#: Start values with ties, both zeros, an infinity and NaN.
+_STARTS = st.sampled_from([0.0, -0.0, 1.0, 2.5, float("inf"), float("nan")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    _STARTS, st.integers(0, n - 1), st.integers(0, n - 1)
+                ),
+                max_size=40,
+            ),
+        )
+    )
+)
+def test_event_order_is_lexsort(case):
+    """The two stable sorts of ``event_order`` give ``np.lexsort``'s
+    permutation bit for bit: ties, repeated pairs (a split plan's
+    pieces), ``-0.0`` against ``+0.0`` and runs of NaN starts."""
+    n, rows = case
+    starts = np.array([row[0] for row in rows], dtype=float)
+    srcs = np.array([row[1] for row in rows], dtype=np.intp)
+    dsts = np.array([row[2] for row in rows], dtype=np.intp)
+    zeros = np.zeros(len(rows))
+    schedule = schedule_from_unsorted_columns(
+        n, starts, srcs, dsts, zeros, zeros
+    )
+    order = event_order(schedule)
+    np.testing.assert_array_equal(order, np.lexsort((dsts, srcs, starts)))
+    assert order.dtype == np.intp

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.timing.events import CommEvent, Schedule, schedule_from_columns
+from repro.timing.events import (
+    CommEvent,
+    Schedule,
+    schedule_from_unsorted_columns,
+)
 from repro.timing.validate import (
     ScheduleError,
     check_schedule,
@@ -167,7 +171,7 @@ class TestProcessorRange:
 
     @staticmethod
     def src_is_p(num_procs=3):
-        return schedule_from_columns(
+        return schedule_from_unsorted_columns(
             num_procs, np.array([0.0]), np.array([num_procs]),
             np.array([0]), np.array([1.0]), np.array([1.0]),
         )
@@ -206,7 +210,7 @@ class TestNonFiniteTimes:
 
     @staticmethod
     def schedule(start, duration):
-        return schedule_from_columns(
+        return schedule_from_unsorted_columns(
             2, np.array([0.0, start]), np.array([1, 0]), np.array([0, 1]),
             np.array([1.0, duration]), np.zeros(2),
         )
