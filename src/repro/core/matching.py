@@ -37,9 +37,7 @@ from __future__ import annotations
 
 from typing import List, Literal, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.problem import TotalExchangeProblem
 from repro.sim.engine import SendOrders, execute_steps_strict
@@ -48,8 +46,19 @@ from repro.timing.events import Schedule
 Objective = Literal["max", "min"]
 Backend = Literal["scipy", "networkx", "auction"]
 
+#: The modules each backend imports when it first solves (networkx's
+#: matching solves on scipy): scipy and networkx load only in a process
+#: that runs their matchings.
+BACKEND_MODULES = {
+    "scipy": ("scipy.optimize",),
+    "networkx": ("networkx", "scipy.optimize", "scipy.sparse"),
+    "auction": (),
+}
+
 
 def _assignment_scipy(weights: np.ndarray, objective: Objective) -> np.ndarray:
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(weights, maximize=(objective == "max"))
     permutation = np.empty(weights.shape[0], dtype=int)
     permutation[rows] = cols
@@ -57,6 +66,8 @@ def _assignment_scipy(weights: np.ndarray, objective: Objective) -> np.ndarray:
 
 
 def _assignment_networkx(weights: np.ndarray, objective: Objective) -> np.ndarray:
+    import networkx as nx
+
     n = weights.shape[0]
     graph = nx.Graph()
     left = [("s", i) for i in range(n)]

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.problem import TotalExchangeProblem
 from repro.timing.events import CommEvent, Schedule
@@ -69,6 +68,8 @@ def bvn_decomposition(
     subtracts.  At least one entry zeroes per step, so at most ``n^2``
     terms are produced.
     """
+    from scipy.optimize import linear_sum_assignment
+
     residual = np.asarray(matrix, dtype=float).copy()
     n = residual.shape[0]
     line_sums = residual.sum(axis=1)

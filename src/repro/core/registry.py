@@ -17,6 +17,7 @@ budgets) from stable string names with keyword-only options.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -26,6 +27,7 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -39,11 +41,13 @@ from repro.core.listsched import (
 )
 from repro.core.greedy import schedule_greedy
 from repro.core.matching import (
+    BACKEND_MODULES,
     schedule_matching,
     schedule_matching_max,
     schedule_matching_min,
 )
 from repro.core.openshop import schedule_openshop
+from repro.core.preemptive import schedule_preemptive
 from repro.core.problem import TotalExchangeProblem
 from repro.directory.service import DirectorySnapshot
 from repro.timing.events import Schedule
@@ -106,6 +110,11 @@ class SchedulerSpec:
         scheduler takes no options and ``fn`` is the only form.
     summary:
         One-line description for ``--list-schedulers`` style output.
+    imports:
+        The modules the scheduler imports when it first runs (scipy's
+        solvers, networkx), or a function of the merged options that
+        names them.  :meth:`build` imports them, so that no first call
+        pays an import inside a tick's deadline or a bench clock.
     """
 
     name: str
@@ -117,10 +126,13 @@ class SchedulerSpec:
     options: Mapping[str, Any] = field(default_factory=dict)
     factory: Optional[Callable[..., Scheduler]] = None
     summary: str = ""
+    imports: Union[Tuple[str, ...], Callable[..., Tuple[str, ...]]] = ()
 
     def build(self, **options: Any) -> Scheduler:
-        """A configured scheduler; no options returns :attr:`fn`."""
+        """A configured scheduler, its :attr:`imports` loaded; no
+        options returns :attr:`fn`."""
         if not options:
+            self._load(self.options)
             return self.fn
         if self.factory is None:
             raise TypeError(
@@ -134,11 +146,20 @@ class SchedulerSpec:
                 f"{self.name!r}; allowed: {sorted(self.options)}"
             )
         merged = {**self.options, **options}
+        self._load(merged)
         scheduler = self.factory(**merged)
         label = ", ".join(f"{k}={merged[k]!r}" for k in sorted(merged))
         scheduler.__name__ = f"{self.name}({label})"
         scheduler.__qualname__ = scheduler.__name__
         return scheduler
+
+    def _load(self, options: Mapping[str, Any]) -> None:
+        modules = (
+            self.imports(**options) if callable(self.imports)
+            else self.imports
+        )
+        for module in modules:
+            importlib.import_module(module)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +195,11 @@ def snapshot_for_problem(
     return snapshot, np.asarray(sizes, dtype=float)
 
 
+def _matching_imports(*, backend: str = "scipy") -> Tuple[str, ...]:
+    # an unknown backend still fails where it always did: at the call
+    return BACKEND_MODULES.get(backend, ())
+
+
 def _matching_factory(objective: str) -> Callable[..., Scheduler]:
     def factory(*, backend: str = "scipy") -> Scheduler:
         def scheduler(problem: TotalExchangeProblem) -> Schedule:
@@ -206,12 +232,6 @@ def _partitioned_factory(*, chunks: int = 2) -> Scheduler:
         return schedule_openshop_partitioned(snapshot, sizes, chunks=chunks)
 
     return scheduler
-
-
-def _preemptive_fn(problem: TotalExchangeProblem) -> Schedule:
-    from repro.core.preemptive import schedule_preemptive
-
-    return schedule_preemptive(problem)
 
 
 def _local_search_factory(*, max_passes: int = 3) -> Scheduler:
@@ -272,6 +292,7 @@ _SPEC_LIST = [
         options={"backend": "scipy"},
         factory=_matching_factory("max"),
         summary="series of maximum-weight complete matchings",
+        imports=_matching_imports,
     ),
     SchedulerSpec(
         name="min_matching",
@@ -282,6 +303,7 @@ _SPEC_LIST = [
         options={"backend": "scipy"},
         factory=_matching_factory("min"),
         summary="series of minimum-weight complete matchings",
+        imports=_matching_imports,
     ),
     SchedulerSpec(
         name="greedy",
@@ -363,6 +385,9 @@ _SPEC_LIST = [
             "two-level scheduler: cluster-level open shop over "
             "caterpillar block rounds (scales past P=1024)"
         ),
+        # clustering runs on csgraph; P singleton clusters delegate to
+        # the scipy matching
+        imports=("scipy.sparse.csgraph", "scipy.optimize"),
     ),
     # -- tier "variant": parameterized entry points ------------------------
     SchedulerSpec(
@@ -387,12 +412,13 @@ _SPEC_LIST = [
     ),
     SchedulerSpec(
         name="preemptive",
-        fn=_preemptive_fn,
+        fn=schedule_preemptive,
         tier="variant",
         complexity="O(P^4)",
         guarantee=_bound_preemptive,
         paper_section="4.1",
         summary="Birkhoff-von-Neumann preemptive optimum (meets t_lb)",
+        imports=("scipy.optimize",),
     ),
 ]
 
@@ -411,6 +437,7 @@ for _objective in ("max", "min"):
                     f"{_objective}-weight matching via the "
                     f"{_backend} LAP backend"
                 ),
+                imports=BACKEND_MODULES[_backend],
             )
         )
 
@@ -447,8 +474,9 @@ def scheduler_names() -> Tuple[str, ...]:
 
 
 def get_scheduler(name: str) -> Scheduler:
-    """Look up a scheduler by name (figure schedulers plus extras)."""
-    return get_spec(name).fn
+    """Look up a scheduler by name (figure schedulers plus extras), its
+    backend imported."""
+    return get_spec(name).build()
 
 
 def parse_scheduler_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
@@ -493,6 +521,9 @@ def make_scheduler(name: str, **options: Any) -> Scheduler:
     ``name[:key=value,...]`` grammar —
     ``make_scheduler("openshop_partitioned:chunks=4")`` — with explicit
     keyword options layered on top of (and overriding) the spec's.
+
+    The scheduler's backend (scipy, networkx) is imported here, at
+    build time, so its first call is timed as the algorithm alone.
 
     Raises ``KeyError`` for unknown names (listing the known ones) and
     ``TypeError`` for options the scheduler does not accept.

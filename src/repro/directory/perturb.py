@@ -8,6 +8,7 @@ new snapshot from an old one without touching the underlying directory.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -15,6 +16,24 @@ import numpy as np
 from repro.directory.service import DirectorySnapshot
 from repro.util.rng import RngLike, to_rng
 from repro.util.validation import check_positive
+
+
+@lru_cache(maxsize=4)
+def _mirror_indices(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices of an ``n x n`` matrix's strict upper triangle and
+    of their mirror images below the diagonal (read-only, per ``n``)."""
+    rows, cols = np.triu_indices(n, k=1)
+    upper = rows * n + cols
+    lower = cols * n + rows
+    upper.flags.writeable = False
+    lower.flags.writeable = False
+    return upper, lower
+
+
+def _zero_diagonal(matrix: np.ndarray) -> bool:
+    """Whether every diagonal entry is ``+0.0`` (``-0.0`` is not)."""
+    diagonal = matrix.diagonal()
+    return not (diagonal.any() or np.signbit(diagonal).any())
 
 
 def perturb_snapshot(
@@ -44,6 +63,9 @@ def perturb_snapshot(
         Apply identical noise to ``(i, j)`` and ``(j, i)``.
     time_delta:
         Advance the snapshot's timestamp.
+
+    A matrix left unperturbed is shared with ``snapshot`` (latency only
+    when its diagonal is already zero), not copied.
     """
     check_positive("bandwidth_sigma", bandwidth_sigma, allow_zero=True)
     check_positive("latency_sigma", latency_sigma, allow_zero=True)
@@ -53,20 +75,28 @@ def perturb_snapshot(
     n = snapshot.num_procs
 
     def noise(sigma: float) -> np.ndarray:
-        if sigma == 0.0:
-            return np.ones((n, n))
         factors = np.exp(rng.normal(0.0, sigma, size=(n, n)))
         if symmetric:
-            upper = np.triu_indices(n, k=1)
-            factors.T[upper] = factors[upper]
+            upper, lower = _mirror_indices(n)
+            flat = factors.reshape(-1)
+            flat[lower] = flat[upper]
         np.fill_diagonal(factors, 1.0)
         return factors
 
-    latency = snapshot.latency * noise(latency_sigma)
-    bandwidth = snapshot.bandwidth * noise(bandwidth_sigma)
+    latency = snapshot.latency
+    if latency_sigma != 0.0:
+        latency = latency * noise(latency_sigma)
+        np.fill_diagonal(latency, 0.0)
+    elif not _zero_diagonal(latency):
+        latency = latency.copy()
+        np.fill_diagonal(latency, 0.0)
+    bandwidth = snapshot.bandwidth
+    if bandwidth_sigma != 0.0:
+        bandwidth = bandwidth * noise(bandwidth_sigma)
 
     if degrade_pairs:
-        bandwidth = bandwidth.copy()
+        if bandwidth is snapshot.bandwidth:
+            bandwidth = bandwidth.copy()
         for src, dst in degrade_pairs:
             if src == dst:
                 raise ValueError("cannot degrade a diagonal pair")
@@ -74,9 +104,4 @@ def perturb_snapshot(
             if symmetric:
                 bandwidth[dst, src] /= degrade_factor
 
-    np.fill_diagonal(latency, 0.0)
-    return DirectorySnapshot(
-        latency=latency,
-        bandwidth=bandwidth,
-        time=snapshot.time + time_delta,
-    )
+    return snapshot._derived(latency, bandwidth, snapshot.time + time_delta)

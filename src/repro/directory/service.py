@@ -11,6 +11,16 @@ import numpy as np
 from repro.util.validation import check_index
 
 
+def _check_latency(latency: np.ndarray) -> None:
+    if not (latency >= 0).all():  # also rejects NaN
+        raise ValueError("latencies must be non-negative and not NaN")
+
+
+def _check_bandwidth(bandwidth: np.ndarray) -> None:
+    if not (bandwidth > 0).all():  # also rejects NaN
+        raise ValueError("bandwidths must be positive")
+
+
 @dataclass(frozen=True)
 class DirectorySnapshot:
     """Immutable point-in-time view of pairwise network performance.
@@ -40,10 +50,8 @@ class DirectorySnapshot:
                 f"bandwidth shape {bandwidth.shape} != latency shape "
                 f"{latency.shape}"
             )
-        if np.any(latency < 0) or np.any(np.isnan(latency)):
-            raise ValueError("latencies must be non-negative and not NaN")
-        if not np.all(bandwidth > 0):  # also rejects NaN
-            raise ValueError("bandwidths must be positive")
+        _check_latency(latency)
+        _check_bandwidth(bandwidth)
         latency = latency.copy()
         bandwidth = bandwidth.copy()
         latency.flags.writeable = False
@@ -57,6 +65,28 @@ class DirectorySnapshot:
         stamped = object.__new__(type(self))
         stamped.__dict__.update(self.__dict__, time=time)
         return stamped
+
+    def _derived(
+        self, latency: np.ndarray, bandwidth: np.ndarray, time: float
+    ) -> "DirectorySnapshot":
+        """A snapshot at ``time`` over matrices built from these ones.
+
+        A matrix that *is* this snapshot's own is shared unchecked.  A
+        new one (same shape, float) is checked as the constructor checks
+        it and made read-only in place instead of copied: the caller
+        hands it over and keeps no writable view.
+        """
+        if latency is not self.latency:
+            _check_latency(latency)
+            latency.flags.writeable = False
+        if bandwidth is not self.bandwidth:
+            _check_bandwidth(bandwidth)
+            bandwidth.flags.writeable = False
+        derived = object.__new__(type(self))
+        derived.__dict__.update(
+            self.__dict__, latency=latency, bandwidth=bandwidth, time=time
+        )
+        return derived
 
     @property
     def num_procs(self) -> int:

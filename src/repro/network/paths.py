@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.network.topology import Metacomputer
@@ -49,6 +48,8 @@ def path_info(system: Metacomputer, src: int, dst: int) -> PathInfo:
     if src == dst:
         vertex = system.node_vertex(src)
         return PathInfo(vertices=(vertex,), latency=0.0, bandwidth=float("inf"))
+    import networkx as nx
+
     route = nx.shortest_path(
         system.graph,
         system.node_vertex(src),

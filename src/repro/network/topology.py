@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.util.validation import check_positive
 
 
@@ -82,6 +80,8 @@ class Metacomputer:
     """
 
     def __init__(self) -> None:
+        import networkx as nx
+
         self.graph = nx.Graph()
         self.sites: Dict[str, Site] = {}
         self.nodes: List[Node] = []
@@ -207,4 +207,6 @@ class Metacomputer:
 
     def is_connected(self) -> bool:
         """Whether every node can reach every other node."""
+        import networkx as nx
+
         return nx.is_connected(self.graph) if len(self.graph) else True

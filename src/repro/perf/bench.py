@@ -44,6 +44,7 @@ from repro.core.greedy import greedy_orders, greedy_steps, schedule_greedy
 from repro.core.matching import matching_rounds
 from repro.core.openshop import schedule_openshop
 from repro.core.problem import TotalExchangeProblem
+from repro.core.registry import make_scheduler
 from repro.directory.service import DirectorySnapshot
 from repro.model.messages import MixedSizes
 from repro.network.generators import random_pairwise_parameters
@@ -132,6 +133,7 @@ def _hier_scale(
     """
     from repro.core.hierarchical import schedule_hierarchical
 
+    make_scheduler("hierarchical")  # loads its backend outside the clock
     problem = clustered_instance(
         num_procs, cluster_size=cluster_size, seed=seed
     )
@@ -206,6 +208,7 @@ def _drift_response(
     rng = to_rng(stable_seed("bench.drift", seed, num_procs))
 
     if hierarchical:
+        make_scheduler("hierarchical")  # loads its backend outside the clock
         scheduler = HierarchicalScheduler()
         incumbent = scheduler(problem)
     else:
@@ -537,7 +540,6 @@ def _robustness(
     makespan over ``eps <= 1e-9``: a plan must not come apart under
     noise far below any measurement's resolution.
     """
-    from repro.core.registry import make_scheduler
     from repro.runtime.session import serve_plan
     from repro.sim.engine import execute_orders
 
@@ -799,6 +801,52 @@ def _soak_smoke(*, seed: int = 0) -> Dict[str, Any]:
     }
 
 
+#: Run in a fresh interpreter: the import a restarted daemon pays before
+#: it serves, and how many scipy and networkx modules it loads.
+_STARTUP_PROBE = """
+import sys, time
+started = time.perf_counter()
+import repro.serve.daemon
+elapsed = time.perf_counter() - started
+heavy = [m for m in sys.modules if m.partition(".")[0] in ("scipy", "networkx")]
+print(elapsed, len(heavy))
+"""
+
+
+def _startup(*, repeats: int) -> Dict[str, Any]:
+    """What a fresh serving process imports before it can answer.
+
+    Each of ``repeats`` fresh interpreters (this ``sys.executable``,
+    ``PYTHONPATH`` at the ``src`` this package lives in) times
+    ``import repro.serve.daemon`` and counts the scipy and networkx
+    modules it loaded: no serving tick calls them, so the guarantee is
+    none.
+    """
+    import os
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": src}
+    seconds, heavy = [], []
+    for _ in range(repeats):
+        elapsed, count = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout.split()
+        seconds.append(float(elapsed))
+        heavy.append(int(count))
+    return {
+        "meta": {
+            "repeats": repeats,
+            "python": platform.python_version(),
+            "import_s": seconds,
+        },
+        "import_daemon_s": float(np.median(seconds)),
+        "heavy_modules": max(heavy),
+    }
+
+
 def _scheduler_timings(
     proc_counts: Sequence[int],
     *,
@@ -813,7 +861,6 @@ def _scheduler_timings(
     workload at every ``P`` — on a random pairwise network, or on a
     snapshot of ``directory`` when a directory spec is given.
     """
-    from repro.core.registry import make_scheduler
     from repro.directory.factory import make_directory
 
     if not scheduler:
@@ -870,6 +917,7 @@ def _bench_one_size(
         # One extraction takes tens of seconds per backend at P=512;
         # a single repeat keeps the tier inside the bench budget.
         matching_repeats = repeats if num_procs <= 256 else 1
+        make_scheduler("matching_max:scipy")  # loads scipy outside the clock
         timer.time(
             "matching_rounds_scipy", matching_rounds, cost,
             repeats=matching_repeats,
@@ -1251,6 +1299,13 @@ TIERS: Dict[str, Tier] = {
             "block_scale": float(1 << 20),
             "pareto_alpha": 1.2,
         },
+    ),
+    "startup": Tier(
+        "startup", _startup, {"repeats": 9}, inputs=(),
+        metrics=(
+            Metric("import_daemon_s", SECONDS),
+            Metric("heavy_modules", GUARANTEE, bound=0),
+        ),
     ),
     "soak_smoke": Tier(
         "soak_smoke", _soak_smoke, {},

@@ -118,6 +118,9 @@ class ScheduleCache:
         self._entries: "OrderedDict[Tuple[str, str], Schedule]" = OrderedDict()
         self.hits = 0
         self.misses = 0
+        # The last missed lookup's arguments and key: the put that
+        # follows it reuses the key instead of digesting again.
+        self._missed: Optional[Tuple[tuple, Tuple[str, str]]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -174,7 +177,13 @@ class ScheduleCache:
         availability mask (see :func:`cost_digest`) so repaired-world
         lookups cannot answer with a pre-failure plan.
         """
-        return self._get(_schedule_key(problem, scheduler, name, mask))
+        key = _schedule_key(problem, scheduler, name, mask)
+        schedule = self._get(key)
+        self._missed = (
+            ((problem, scheduler, name, mask), key) if schedule is None
+            else None
+        )
+        return schedule
 
     def put(
         self,
@@ -189,9 +198,19 @@ class ScheduleCache:
 
         Lets callers that had to run a scheduler anyway (e.g. while
         timing it) donate the result, so a later cached call is a hit
-        instead of a recomputation.
+        instead of a recomputation.  Right after a missed
+        :meth:`lookup` of the same problem, scheduler, name and mask
+        (the same objects, unchanged), the lookup's key is reused, so a
+        missed plan's matrices are digested once.
         """
-        self._set(_schedule_key(problem, scheduler, name, mask), schedule)
+        missed, self._missed = self._missed, None
+        if missed is not None and all(
+            a is b for a, b in zip(missed[0], (problem, scheduler, name, mask))
+        ):
+            key = missed[1]
+        else:
+            key = _schedule_key(problem, scheduler, name, mask)
+        self._set(key, schedule)
 
     def aux_lookup(self, kind: str, digest: str):
         """A non-schedule artifact stored under ``(kind, digest)``, or None.
@@ -227,6 +246,7 @@ class ScheduleCache:
         self._entries.clear()
         self.hits = 0
         self.misses = 0
+        self._missed = None
 
     @property
     def hit_rate(self) -> float:

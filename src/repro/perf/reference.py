@@ -21,9 +21,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.problem import TotalExchangeProblem
 from repro.timing.events import CommEvent, Schedule
@@ -320,6 +318,8 @@ def schedule_openshop_reference(problem: TotalExchangeProblem) -> Schedule:
 
 def assignment_networkx_reference(weights: np.ndarray, objective) -> np.ndarray:
     """Seed networkx assignment: ``P^2`` scalar ``add_edge`` calls."""
+    import networkx as nx
+
     n = weights.shape[0]
     graph = nx.Graph()
     left = [("s", i) for i in range(n)]
@@ -338,6 +338,8 @@ def assignment_networkx_reference(weights: np.ndarray, objective) -> np.ndarray:
 
 
 def _assignment_scipy(weights: np.ndarray, objective) -> np.ndarray:
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(weights, maximize=(objective == "max"))
     permutation = np.empty(weights.shape[0], dtype=int)
     permutation[rows] = cols

@@ -212,8 +212,10 @@ class AdaptiveSession:
         construction (``rng`` seeds it).
     scheduler:
         Registry name (resolved via
-        :func:`~repro.core.registry.make_scheduler`) or a bare
-        ``problem -> Schedule`` callable.
+        :func:`~repro.core.registry.make_scheduler`, which imports the
+        scheduler's backend at open) or a bare ``problem -> Schedule``
+        callable, which loads its own: whatever it imports on its first
+        call counts against that tick's deadline.
     policy:
         Tunables; defaults to :class:`~repro.runtime.policy.PolicyConfig`.
     cache:

@@ -242,11 +242,7 @@ def drift_storm_trace(
             bandwidth[rows, :] /= factors[:, None]
             np.fill_diagonal(latency, 0.0)
             snapshots.append(
-                DirectorySnapshot(
-                    latency=latency,
-                    bandwidth=bandwidth,
-                    time=previous.time + dt,
-                )
+                previous._derived(latency, bandwidth, previous.time + dt)
             )
         else:
             snapshots.append(

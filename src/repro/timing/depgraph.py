@@ -19,12 +19,14 @@ Two constructions are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.timing.events import Schedule
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Node identifier in a dependence graph: the (src, dst) message pair.
 EventKey = Tuple[int, int]
@@ -38,6 +40,8 @@ def dependence_graph(schedule: Schedule) -> "nx.DiGraph":
     sender or receiver.  Zero-duration events (free local copies) are
     omitted, matching their exclusion from the timing diagram.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     events = [e for e in schedule if e.duration > 0]
     for event in events:
@@ -70,6 +74,8 @@ def baseline_dependence_graph(num_procs: int) -> "nx.DiGraph":
     """
     if num_procs <= 0:
         raise ValueError(f"num_procs must be positive, got {num_procs}")
+    import networkx as nx
+
     graph = nx.DiGraph()
     for step in range(1, num_procs):
         for src in range(num_procs):
@@ -89,6 +95,8 @@ def longest_path_time(graph: "nx.DiGraph", cost: np.ndarray) -> float:
     ``cost[src, dst]`` supplies node weights keyed by the ``(src, dst)``
     node ids.  The graph must be acyclic (true for any valid schedule).
     """
+    import networkx as nx
+
     cost = np.asarray(cost, dtype=float)
     if not nx.is_directed_acyclic_graph(graph):
         raise ValueError("dependence graph must be acyclic")
@@ -102,6 +110,8 @@ def longest_path_time(graph: "nx.DiGraph", cost: np.ndarray) -> float:
 
 def critical_path(graph: "nx.DiGraph", cost: np.ndarray) -> List[EventKey]:
     """The event sequence realising :func:`longest_path_time`."""
+    import networkx as nx
+
     cost = np.asarray(cost, dtype=float)
     if not nx.is_directed_acyclic_graph(graph):
         raise ValueError("dependence graph must be acyclic")
